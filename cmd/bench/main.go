@@ -1,6 +1,6 @@
 // Command bench runs the repo's standing performance suite and writes a
 // BENCH_*.json trajectory file: every case measured on three engines — the
-// production engine (typed event heap, direct handoff), the container/heap
+// production engine (typed event heap, inline dispatch), the container/heap
 // oracle, and the sharded windowed-parallel executor — with events/sec,
 // ns/event and allocs/event per case plus typed-vs-oracle and
 // sharded-vs-typed speedups. Perf PRs check the next trajectory file in (see the

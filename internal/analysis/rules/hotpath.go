@@ -3,23 +3,32 @@ package rules
 // HotPathRoots declares the functions whose transitive callees must stay
 // allocation-free. This is the checked-in twin of what alloc_test.go
 // probes dynamically (`testing.AllocsPerRun` over ProcessNextEvent, the
-// Mallocs bound over direct runs): the steady-state event loop of both
-// executors, from scheduling through dispatch. Perf PRs that add a new
-// dispatch entry point extend this list; the allocfree analyzer reports a
-// finding if a root name stops resolving, so renames can't silently
-// shrink the proved surface.
+// Mallocs bound over serial runs): the steady-state event loop of both
+// executors, from scheduling through dispatch and thread resume. Perf PRs
+// that add a new dispatch entry point extend this list; the allocfree
+// analyzer reports a finding if a root name stops resolving, so renames
+// can't silently shrink the proved surface.
 //
 // Names use the callgraph format: "pkgpath.Func" or
-// "pkgpath.(*Recv).Method". `go` edges are not followed — goroutine
-// startup (per-thread launch) is priced separately from the per-event
-// loop — so thread bodies hand control back via channels, not calls, and
+// "pkgpath.(*Recv).Method". `go` edges are not followed — the window
+// pool's helper startup is priced separately from the per-event loop.
+// Thread bodies run on coroutines: a resume enters one through the
+// function value iter.Pull returns, which the call graph cannot see
+// through, so the proof stops at the resume and suspend points and
 // workload code stays out of the proved set.
 var HotPathRoots = []string{
-	// Serial executor: public stepping API and the direct-handoff loop.
+	// Serial executor: public stepping API, Run's driver loop and the
+	// inline dispatch it shares with blocking threads.
 	"alock/internal/sim.(*Engine).Step",
 	"alock/internal/sim.(*Engine).ProcessNextEvent",
-	"alock/internal/sim.(*Engine).runDirect",
-	"alock/internal/sim.(*Engine).dispatchNext",
+	"alock/internal/sim.(*Engine).runSerial",
+	"alock/internal/sim.(*Engine).dispatch",
+
+	// Thread handoff, in every mode: resuming a thread's coroutine, and a
+	// blocking thread's fast path, wake-up scheduling and suspension.
+	"alock/internal/sim.(*Thread).resume",
+	"alock/internal/sim.(*Thread).block",
+	"alock/internal/sim.(*Thread).suspend",
 
 	// Event queue: the typed 4-ary heap's steady-state operations.
 	"alock/internal/sim.(*eventQueue).push",

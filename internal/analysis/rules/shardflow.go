@@ -90,10 +90,11 @@ func runShardflow(mp *analysis.ModulePass, roots []string) error {
 
 // spawnBodies resolves the function values handed to a Spawn method of
 // the engine package that owns the dispatch roots, outside test files:
-// thread bodies resume inside shard windows through channels the call
-// graph cannot see, so they are roots in their own right. Spawn methods
-// of other runtimes (the wall-clock Cluster) schedule no shard windows
-// and are ignored.
+// thread bodies run on coroutines that shard windows resume through the
+// function value iter.Pull returns, which the call graph cannot see
+// through, so they are roots in their own right. Spawn methods of other
+// runtimes (the wall-clock Cluster) schedule no shard windows and are
+// ignored.
 func spawnBodies(mp *analysis.ModulePass, g *callgraph.Graph, rootPkgs map[string]bool) []*callgraph.Node {
 	var out []*callgraph.Node
 	for _, pkg := range mp.Pkgs {

@@ -2,8 +2,8 @@
 // defines a fixed suite of benchmark cases — raw-engine microbenchmarks
 // that isolate the event loop, plus one representative configuration per
 // scenario family — runs each case N times on three engine variants: the
-// production engine (typed 4-ary event heap, direct-handoff run loop), the
-// container/heap oracle, and the node-sharded engine under the conservative
+// production engine (typed 4-ary event heap, serial Run with inline
+// dispatch between thread coroutines), the container/heap oracle, and the node-sharded engine under the conservative
 // windowed parallel executor. It reports events/sec, ns/event and
 // allocs/event in a stable JSON schema (BENCH_*.json). cmd/bench is the
 // CLI; perf PRs check the next trajectory file in so regressions are
@@ -28,8 +28,8 @@ const Schema = "alock-bench/v2"
 
 // Engine variant names.
 const (
-	EngineTyped   = "typed"   // typed 4-ary heap, direct handoff
-	EngineOracle  = "oracle"  // container/heap reference, mediated loop
+	EngineTyped   = "typed"   // typed 4-ary heap, inline dispatch
+	EngineOracle  = "oracle"  // container/heap reference, one resume per event
 	EngineSharded = "sharded" // per-node queues, windowed parallel executor
 )
 

@@ -147,8 +147,8 @@ type Config struct {
 	// WordsPerNode sizes each node's memory region (0 = 1Mi words = 8 MiB).
 	WordsPerNode int
 	// Oracle runs the simulation on the reference engine (container/heap
-	// event queue, scheduler-mediated run loop) instead of the flattened
-	// hot path. Schedules are bit-identical either way — the flag exists so
+	// event queue, one thread resume per popped event) instead of the
+	// flattened hot path. Schedules are bit-identical either way — the flag exists so
 	// tests can prove it and internal/bench can measure the difference.
 	Oracle bool `json:",omitempty"`
 	// EngineShards, if positive, runs the simulation on the node-sharded

@@ -69,8 +69,8 @@ func TestEnterClearsStaleGrants(t *testing.T) {
 // path (rwlock.go's Unlock loop) without corrupting either lock.
 func TestUnlockStaleHeldRetries(t *testing.T) {
 	// Observations are collected inside the simulated thread and asserted
-	// after e.Run: a t.Fatalf inside a spawned thread would skip the
-	// engine's scheduler handoff and deadlock the test binary.
+	// after e.Run: a t.Fatalf inside a spawned thread would unwind the
+	// goroutine driving the engine mid-run and leave the engine poisoned.
 	var heldA, heldB, aAfterUnlockA, bAfterUnlockA, bAfterUnlockB uint64
 	e := sim.New(1, 1<<16, model.Uniform(5), 1)
 	e.Spawn(0, func(ctx api.Ctx) {

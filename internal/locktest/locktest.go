@@ -437,9 +437,10 @@ func CheckZombieDrain(t *testing.T, prov locks.Provider) {
 		h := tp.NewTimedHandle(ctx)
 		zc, ok := h.(locks.ZombieCounter)
 		if !ok {
-			// Errorf, not Fatalf: Fatalf's Goexit on a sim-thread goroutine
-			// would strand the scheduler's yield handshake and hang the
-			// run. The missing-attempt check after e.Run fails the test.
+			// Errorf, not Fatalf: Fatalf's Goexit in a sim thread unwinds
+			// the goroutine resuming it — under the windowed executor a
+			// pool goroutine, which hangs the run. The missing-attempt
+			// check after e.Run fails the test.
 			t.Errorf("%s: timed handle does not count zombies", prov.Name())
 			return
 		}

@@ -12,13 +12,13 @@ import (
 // TestTypedEngineMatchesOracleEveryScenario is the engine-swap acceptance
 // gate: every registered scenario, expanded at smoke scale, must produce
 // bit-identical results on all four engine configurations — the production
-// engine (typed 4-ary event heap, direct-handoff run loop), the reference
-// engine (container/heap, scheduler-mediated loop), the sharded engine with
-// the serial merge scheduler (EngineShards=1), and the conservative windowed
-// parallel executor (EngineShards=4). The typed runs go through the parallel
-// sweep runner and the oracle runs serially, so the comparison also re-proves
-// sweep determinism at any -parallel setting against independent engine
-// implementations.
+// engine (typed 4-ary event heap, serial Run with inline dispatch), the
+// reference engine (container/heap, one thread resume per popped event),
+// the sharded engine with the serial merge scheduler (EngineShards=1), and
+// the conservative windowed parallel executor (EngineShards=4). The typed
+// runs go through the parallel sweep runner and the oracle runs serially,
+// so the comparison also re-proves sweep determinism at any -parallel
+// setting against independent engine implementations.
 func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -11,8 +11,9 @@ import (
 
 // TestScheduleStepZeroAllocs is the allocation guard on the engine's
 // schedule/pop hot path: once the event slice has grown to its working
-// size, processing an event — heap pop, accounting, the goroutine handoff
-// and the re-schedule on the next block — must not allocate. The old
+// size, processing an event — heap pop, accounting, the resume of the
+// thread's coroutine, its yield and the re-schedule on the next block —
+// must not allocate. The old
 // container/heap queue boxed every event into an interface{} on push and
 // pop, one heap allocation per scheduled event; this test keeps it gone.
 func TestScheduleStepZeroAllocs(t *testing.T) {
@@ -25,7 +26,8 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 		})
 	}
 	e.SetHorizon(1 << 40)
-	// Warm up: launch goroutines, grow the event slice to steady state.
+	// Warm up: create the threads' coroutines (on their first resume) and
+	// grow the event slice to steady state.
 	for i := 0; i < 256; i++ {
 		e.Step()
 	}
@@ -42,9 +44,11 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDirectRunNearZeroAllocs bounds the direct-handoff Run loop: a
-// contended run processing tens of thousands of events may allocate only
-// its fixed setup (goroutine launches) — not per event.
+// TestDirectRunNearZeroAllocs bounds serial Run, whose blocking threads
+// dispatch inline and yield to the driver loop only to name the next
+// thread: a contended run processing tens of thousands of events may
+// allocate only its fixed setup (one coroutine per thread) — not per
+// event.
 func TestDirectRunNearZeroAllocs(t *testing.T) {
 	e, _ := contendedEngine()
 	var before, after runtime.MemStats
@@ -56,11 +60,11 @@ func TestDirectRunNearZeroAllocs(t *testing.T) {
 		t.Fatalf("run too small to measure: %d events", events)
 	}
 	allocs := after.Mallocs - before.Mallocs
-	// Launching 4 goroutines and the harness of ReadMemStats itself cost a
+	// Creating 4 coroutines and the harness of ReadMemStats itself cost a
 	// fixed few dozen allocations; per-event allocation would show up as
 	// tens of thousands.
 	if allocs > 500 {
-		t.Fatalf("direct Run allocated %d times over %d events (%.4f allocs/event), want O(setup)",
+		t.Fatalf("serial Run allocated %d times over %d events (%.4f allocs/event), want O(setup)",
 			allocs, events, float64(allocs)/float64(events))
 	}
 }

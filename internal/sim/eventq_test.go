@@ -95,9 +95,10 @@ func contendedEngine(opts ...Option) (*Engine, func() uint64) {
 }
 
 // TestDirectRunMatchesOracleEngine runs the same contended workload on the
-// production engine (typed heap, direct handoff) and the oracle engine
-// (container/heap, mediated scheduler) and asserts bit-identical outcomes:
-// same final clock, same event count, same memory effects.
+// production engine (typed heap, serial Run with inline dispatch) and the
+// oracle engine (container/heap, one resume per popped event) and asserts
+// bit-identical outcomes: same final clock, same event count, same memory
+// effects.
 func TestDirectRunMatchesOracleEngine(t *testing.T) {
 	typed, readTyped := contendedEngine()
 	oracle, readOracle := contendedEngine(WithOracle())
@@ -115,8 +116,9 @@ func TestDirectRunMatchesOracleEngine(t *testing.T) {
 }
 
 // TestMaxEventsGuardDirect is TestMaxEventsGuard's cross-thread variant:
-// the budget trip happens on a thread goroutine mid-handoff, and the panic
-// must still surface on the Run caller's goroutine.
+// the budget trip happens inside a blocking thread's inline dispatch, on
+// its coroutine, and the panic must still surface on the Run caller's
+// goroutine.
 func TestMaxEventsGuardDirect(t *testing.T) {
 	e, _ := contendedEngine(WithMaxEvents(500))
 	defer func() {

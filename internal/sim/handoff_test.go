@@ -1,0 +1,146 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"alock/internal/api"
+	"alock/internal/model"
+	"alock/internal/slots"
+)
+
+// engineMode is one way of building and driving an engine: the four modes
+// share the coroutine handoff, and each must surface failures on the
+// goroutine that drives it and release every goroutine on a clean drain.
+type engineMode struct {
+	name  string
+	opts  []Option
+	drive func(e *Engine, horizon int64)
+}
+
+func runDrive(e *Engine, horizon int64) { e.Run(horizon) }
+
+// stepDrive drains the engine through the step primitives instead of Run.
+func stepDrive(e *Engine, horizon int64) {
+	e.SetHorizon(horizon)
+	for e.Step() {
+	}
+}
+
+var engineModes = []engineMode{
+	{"serial", nil, runDrive},
+	{"oracle-step", []Option{WithOracle()}, stepDrive},
+	{"sharded-serial", []Option{WithShards(1)}, runDrive},
+	{"windowed", []Option{WithShards(2)}, runDrive},
+}
+
+// mustPanicWith runs f and returns the message it panicked with on this
+// goroutine, failing the test if it returned normally or the message lacks
+// want.
+func mustPanicWith(t *testing.T, want string, f func()) string {
+	t.Helper()
+	var msg string
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f()
+	}()
+	if msg == "" {
+		t.Fatalf("no panic on the driving goroutine, want one containing %q", want)
+	}
+	if !strings.Contains(msg, want) {
+		t.Fatalf("panic %q does not contain %q", firstLine(msg), want)
+	}
+	return msg
+}
+
+func firstLine(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
+}
+
+// TestFailuresSurfaceOnDriver: in every mode, a panic inside a thread body
+// and a blown event budget re-panic on the goroutine driving the engine —
+// the Run or Step caller — however the panicking thread was resumed
+// (driver loop, inline dispatch by another thread, or a window pool
+// goroutine). The thread panic keeps its thread ID and the thread's stack.
+func TestFailuresSurfaceOnDriver(t *testing.T) {
+	restore := slots.SetCapacity(4) // let the windowed mode run pool helpers
+	defer restore()
+	for _, m := range engineModes {
+		t.Run(m.name+"/thread-panic", func(t *testing.T) {
+			e, words := shardedWorkload(2, 2, m.opts...)
+			// Thread 4, on node 1, panics amid the workload's cross-node
+			// traffic.
+			e.Spawn(1, func(ctx api.Ctx) {
+				for i := 0; i < 50; i++ {
+					ctx.RRead(words[0])
+					ctx.Work(20 * time.Nanosecond)
+				}
+				panic("boom")
+			})
+			msg := mustPanicWith(t, "sim: thread 4 panicked: boom", func() { m.drive(e, 1<<40) })
+			if !strings.Contains(msg, "goroutine") {
+				t.Errorf("thread panic lost the thread's stack:\n%s", msg)
+			}
+		})
+		t.Run(m.name+"/max-events", func(t *testing.T) {
+			e, _ := shardedWorkload(2, 2, append([]Option{WithMaxEvents(500)}, m.opts...)...)
+			mustPanicWith(t, "exceeded 500 events", func() { m.drive(e, 1<<40) })
+		})
+	}
+}
+
+// TestDeadlockBackstop: a thread still suspended when the queues drain is
+// reported as blocked forever. No api.Ctx workload reaches this — every
+// suspension schedules the event that resumes it — so the test drops a
+// thread's spawn wake-up to stand in for an engine bug. Every mode drives
+// with Run here: the step primitives make no exit check.
+func TestDeadlockBackstop(t *testing.T) {
+	for _, m := range engineModes {
+		t.Run(m.name, func(t *testing.T) {
+			e := New(2, 1024, model.CX3(), 1, m.opts...)
+			e.Spawn(1, func(ctx api.Ctx) { ctx.Work(time.Microsecond) })
+			e.pop()
+			mustPanicWith(t, "sim: thread 0 blocked forever", func() { e.Run(1 << 40) })
+		})
+	}
+}
+
+// TestCleanDrainReleasesGoroutines: after a clean drain in every mode the
+// goroutine count returns to its level before New — each exited thread's
+// coroutine has ended and the window pool's helpers have retired. The
+// helpers exit asynchronously after the pool closes, so the count is
+// polled briefly.
+func TestCleanDrainReleasesGoroutines(t *testing.T) {
+	restore := slots.SetCapacity(4)
+	defer restore()
+	for _, m := range engineModes {
+		t.Run(m.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e, _ := shardedWorkload(3, 2, m.opts...)
+			m.drive(e, 100_000)
+			if e.HasPendingEvents() {
+				t.Fatal("engine did not drain")
+			}
+			got := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); got > base && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				got = runtime.NumGoroutine()
+			}
+			if got > base {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after a clean drain, %d before New:\n%s",
+					got, base, buf[:runtime.Stack(buf, true)])
+			}
+		})
+	}
+}

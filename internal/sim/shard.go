@@ -80,15 +80,14 @@ type shard struct {
 	// via Ctx.Now while windowed); wend is the current window's exclusive
 	// end; events counts dispatches since Run began, folded into the
 	// engine counter at the final barrier. outbox buffers cross-shard
-	// sends until the next barrier. yield is the running-thread -> shard
-	// worker handoff. active marks the shard as executing the current
-	// window, for the access auditor. trap carries a dispatch failure to
-	// the barrier, which re-panics it on the Run caller.
+	// sends until the next barrier. active marks the shard as executing the
+	// current window, for the access auditor. trap carries a dispatch
+	// failure or thread panic to the barrier, which re-panics it on the Run
+	// caller.
 	now    int64
 	wend   int64
 	events uint64
 	outbox []event
-	yield  chan struct{}
 	active atomic.Bool
 	trap   error
 }
@@ -107,7 +106,6 @@ func newShard(e *Engine, node int) *shard {
 		node:       node,
 		tornHeld:   make(map[ptr.Ptr]bool),
 		tornWrites: make(map[*Thread]tornWrite),
-		yield:      make(chan struct{}),
 	}
 }
 
@@ -122,9 +120,10 @@ func (s *shard) nextSeq() uint64 {
 // `at` during a parallel window. Fast path: if `at` is inside the safe
 // window and no own-shard event could run first, advance the shard clock
 // and keep the thread running — no other shard can affect this one before
-// wend, by the lookahead contract. Otherwise schedule the wake-up and hand
-// control back to the shard worker; the wake pops in this or a later
-// window. One event is counted either way, matching the serial engine.
+// wend, by the lookahead contract. Otherwise schedule the wake-up and
+// yield to the goroutine running this shard's window; the wake pops in
+// this or a later window, possibly resumed from another pool goroutine.
+// One event is counted either way, matching the serial engine.
 func (s *shard) blockThread(t *Thread, at int64) {
 	if at < s.now {
 		at = s.now
@@ -135,16 +134,16 @@ func (s *shard) blockThread(t *Thread, at int64) {
 		return
 	}
 	s.e.scheduleEv(s, at, evWake, t)
-	s.yield <- struct{}{}
-	<-t.resume
+	t.yield(nil)
 }
 
 // runWindow executes this shard's events with at < s.wend in (at, seq)
-// order: wake-ups and completions resume their thread until it blocks
-// again or exits; protocol events execute inline. A time regression or a
-// blown event budget traps (recorded in s.trap, re-panicked at the
-// barrier) — both indicate an engine bug or a livelocked workload, and the
-// engine is unusable afterwards.
+// order, on whichever pool goroutine claimed the shard: wake-ups and
+// completions resume their thread's coroutine until it blocks again or
+// exits; protocol events execute inline. A time regression, a blown event
+// budget or a thread panic traps (recorded in s.trap, re-panicked at the
+// barrier) — each indicates an engine bug, a livelocked workload or a
+// workload bug, and the engine is unusable afterwards.
 func (s *shard) runWindow() {
 	defer s.active.Store(false)
 	for s.q.len() > 0 {
@@ -167,9 +166,7 @@ func (s *shard) runWindow() {
 			hook(s, ev)
 		}
 		if ev.kind == evWake || ev.kind == evComplete {
-			ev.th.resume <- struct{}{}
-			<-s.yield
-			if s.trap != nil {
+			if _, s.trap = ev.th.resume(); s.trap != nil {
 				return
 			}
 			continue

@@ -248,10 +248,11 @@ func TestWindowedStopAndHorizon(t *testing.T) {
 	_ = words
 }
 
-// TestWindowedDeadlockDetected: threads that block forever under the
-// windowed executor must still be reported as a deadlock when the event
-// queues drain.
-func TestWindowedDeadlockDetected(t *testing.T) {
+// TestWindowedWindDownTerminates: a poller waiting on a word no one writes
+// winds down at the horizon under the windowed executor, and Run returns
+// instead of hanging or reporting a deadlock. (TestDeadlockBackstop checks
+// the blocked-forever report itself, in every mode.)
+func TestWindowedWindDownTerminates(t *testing.T) {
 	e := New(2, 1024, model.CX3(), 1, WithShards(2))
 	w := e.Space().AllocLine(0)
 	e.Spawn(1, func(ctx api.Ctx) {
@@ -259,9 +260,7 @@ func TestWindowedDeadlockDetected(t *testing.T) {
 			ctx.Pause(1)
 		}
 	})
-	// No writer: the poller winds down at the horizon; this run must NOT
-	// deadlock. (The deadlock panic path is exercised by the serial tests;
-	// here we pin that windowed wind-down terminates.)
+	// No writer: the poller winds down at the horizon.
 	e.Run(50_000)
 	if !e.Stopped() {
 		t.Error("windowed run did not stop")

@@ -1,11 +1,11 @@
 // Package sim is a deterministic discrete-event simulation engine for the
 // RDMA cluster.
 //
-// Simulated threads are ordinary goroutines running ordinary blocking Go
-// code against the api.Ctx interface. Under the serial engine exactly one
-// of them executes at a time: every memory operation suspends the thread
-// until its completion event fires on the virtual clock, and the scheduler
-// hands control back in strict (time, sequence) order. Memory effects
+// Simulated threads run ordinary blocking Go code against the api.Ctx
+// interface, each on its own coroutine (iter.Pull). Exactly one thread of
+// a timeline executes at a time: every memory operation suspends the
+// thread until its completion event fires on the virtual clock, and the
+// engine resumes threads in strict (time, sequence) order. Memory effects
 // therefore apply in a single global order — the engine is sequentially
 // consistent at event granularity, which is the memory model the paper's
 // algorithms require once the prescribed fences are in place (§5.2).
@@ -17,8 +17,7 @@
 // timeline through the verb protocol (evArrive/evExec/evComplete below).
 // Three run modes share that one event protocol:
 //
-//   - serial (default): one global event queue, direct-handoff Run loop —
-//     the reference behavior.
+//   - serial (default): one global event queue — the reference behavior.
 //   - sharded-serial (WithShards(1)): per-shard queues with a merge
 //     scheduler that always pops the globally least (at, seq) event. The
 //     total order is the same order, so this mode is bit-identical to
@@ -39,14 +38,25 @@
 // so tie order depends only on the issuing shard and its deterministic
 // local push order — never on cross-shard execution interleaving.
 //
+// Thread handoff: every mode resumes a thread the same way, by calling its
+// coroutine's next from the goroutine that popped its wake-up or verb
+// completion, and a thread suspends by yielding back to that goroutine.
+// No channel or Go scheduler round trip is involved. Under serial Run
+// (and sharded-serial) a blocking thread dispatches inline: it pops the
+// following events itself, executes verb-protocol events on the spot and
+// keeps running when the next thread event is its own; it yields to Run's
+// driver loop only to name the thread to resume. The step primitives
+// (ProcessNextEvent/Step), and Run under WithOracle, resume one thread per
+// popped event so callers can interleave logic between events; the
+// windowed executor resumes threads from whichever pool goroutine claimed
+// their shard. A thread panic is recovered on its coroutine and re-panics
+// on the goroutine driving the engine.
+//
 // Hot path: events live in a typed 4-ary min-heap (eventq.go) — no
-// interface boxing, zero allocations per event in steady state — and Run
-// transfers control directly from the blocking thread to the next event's
-// thread. The step primitives (ProcessNextEvent/Step) keep the
-// scheduler-mediated two-handoff protocol so callers can interleave logic
-// between events. WithOracle selects the original container/heap queue
-// plus the mediated Run loop as a bit-exact reference; it is incompatible
-// with WithShards (the oracle IS the single-queue serial path).
+// interface boxing, zero allocations per event in steady state. WithOracle
+// selects the original container/heap queue as a bit-exact reference; it
+// is incompatible with WithShards (the oracle IS the single-queue serial
+// path).
 //
 // Costs come from internal/model, and every remote operation is routed
 // through the requester's and responder's internal/nic instances, which is
@@ -70,6 +80,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 	"sync/atomic"
@@ -184,20 +195,14 @@ type Engine struct {
 	stopped       bool
 	stopRequested atomic.Bool
 
-	threads  []*Thread
-	launched int           // threads[:launched] have running goroutines
-	yield    chan struct{} // running thread -> scheduler handoff (step mode)
-	// direct marks a serial Run in progress: blocking threads dispatch the
-	// next event themselves and hand control straight to its thread,
-	// returning to the Run caller (via wake) only when the queue drains or
-	// the engine traps. windowed marks a parallel Run in progress: threads
-	// hand off to their shard's worker instead (shard.go). trap carries a
-	// dispatch failure (time regression, event-budget livelock) from a
-	// thread goroutine to Run, which re-panics it on the caller's goroutine.
-	direct   bool
+	threads []*Thread
+	// inline marks a serial Run in progress: a blocking thread dispatches
+	// the next events itself (Thread.suspend) instead of yielding to its
+	// resumer for each one. windowed marks a parallel Run in progress:
+	// threads observe their shard's clock and yield to its window
+	// (shard.go).
+	inline   bool
 	windowed bool
-	wake     chan struct{}
-	trap     error
 
 	// loopInFlight / remoteInFlight count the operations of each class
 	// currently occupying each node's NIC; the congestion model inflates
@@ -234,10 +239,11 @@ func WithMaxEvents(n uint64) Option {
 }
 
 // WithOracle switches the engine to the reference implementation: the
-// container/heap event queue and the scheduler-mediated Run loop. Event
+// container/heap event queue driven by the step primitives. Event
 // order is a total order on (at, seq), so the oracle replays bit-identical
-// schedules — it exists to verify the typed-heap/direct-handoff engine
-// (and to measure what the flattened hot path buys; see internal/bench).
+// schedules — it exists to verify the typed-heap engine (and to measure
+// what the flattened hot path buys; see internal/bench). Run on the oracle
+// resumes one thread per popped event through ProcessNextEvent.
 // The oracle IS the single-queue serial path: combining it with WithShards
 // is a configuration error and New panics on it.
 func WithOracle() Option {
@@ -288,8 +294,6 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		nics:           make([]*nic.NIC, nodes),
 		seed:           seed,
 		rngs:           NewPartitionedRNG(seed),
-		yield:          make(chan struct{}),
-		wake:           make(chan struct{}),
 		loopInFlight:   make([]int, nodes),
 		remoteInFlight: make([]int, nodes),
 		stopAt:         1<<63 - 1,
@@ -380,8 +384,10 @@ func (e *Engine) Events() uint64 { return e.events }
 // streams for its own subsystems without touching the thread streams.
 func (e *Engine) RNG() PartitionedRNG { return e.rngs }
 
-// Spawn registers a simulated thread on `node` running fn. All spawns must
-// happen before Run. Threads are started at virtual time 0 in spawn order.
+// Spawn registers a simulated thread on `node` running fn, starting at the
+// current virtual time (0 before the first Run) in spawn order. The
+// thread's coroutine is created on its first resume, so an engine that is
+// assembled but never run holds no goroutines.
 func (e *Engine) Spawn(node int, fn func(api.Ctx)) *Thread {
 	if node < 0 || node >= e.space.Nodes() {
 		panic(fmt.Sprintf("sim: Spawn on node %d of %d", node, e.space.Nodes()))
@@ -392,7 +398,6 @@ func (e *Engine) Spawn(node int, fn func(api.Ctx)) *Thread {
 		shard:  e.shards[node],
 		id:     id,
 		node:   node,
-		resume: make(chan struct{}),
 		rng:    e.rngs.Stream(SubsystemThread, id),
 		fabric: e.rngs.Stream(SubsystemFabric, id),
 		fn:     fn,
@@ -497,9 +502,9 @@ func (e *Engine) minAt() (at int64, ok bool) {
 
 // account applies one event dispatch's bookkeeping: clock advance, horizon
 // check, event counting and the runaway guard. It returns an error rather
-// than panicking so direct-handoff dispatch on a thread goroutine can trap
-// the failure back to the Run caller; mediated callers panic on it
-// directly.
+// than panicking so inline dispatch on a thread's coroutine can hand the
+// failure to the Run caller (see Thread.suspend); the step primitives
+// panic on it directly.
 func (e *Engine) account(at int64) error {
 	if at < e.now {
 		return fmt.Errorf("sim: time went backwards (%dns after %dns)", at, e.now) //lint:allow allocfree trap path: the run is over once this fires
@@ -532,17 +537,6 @@ func (e *Engine) HasPendingEvents() bool { return e.pending() > 0 }
 // without processing it; ok is false when no event is pending.
 func (e *Engine) PeekNextEventTime() (at int64, ok bool) {
 	return e.minAt()
-}
-
-// launchPending starts the goroutine of every spawned-but-not-yet-started
-// thread; each waits for its first resume. Threads are only ever appended,
-// so a high-water index keeps this O(new threads) on the event hot path.
-// (Threads may be added to an already-finished engine, e.g. to inspect
-// final memory state.)
-func (e *Engine) launchPending() {
-	for ; e.launched < len(e.threads); e.launched++ {
-		go e.threads[e.launched].main() //lint:allow allocfree one goroutine per spawned thread, O(threads) at startup, not O(events)
-	}
 }
 
 // execProtocol runs a verb-protocol event's handler. s is the event's
@@ -612,26 +606,23 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 }
 
 // ProcessNextEvent pops the earliest pending event, advances the virtual
-// clock to it, and processes it: a thread wake-up or verb completion runs
-// its thread until that thread blocks again or exits; a verb-protocol event
-// executes inline on the scheduler. It reports whether an event was
-// processed (false means the heap is empty). Panics on time regression or
-// when the event budget is exceeded, which indicates a livelock in the
-// simulated system.
+// clock to it, and processes it: a thread wake-up or verb completion
+// resumes its thread's coroutine until that thread blocks again or exits;
+// a verb-protocol event executes inline. It reports whether an event was
+// processed (false means the queue is empty). Panics on time regression,
+// when the event budget is exceeded (a livelock in the simulated system),
+// or with the thread's panic when a thread body panics.
 func (e *Engine) ProcessNextEvent() bool {
 	if e.pending() == 0 {
 		return false
 	}
-	e.launchPending()
 	ev := e.pop()
 	if err := e.account(ev.at); err != nil {
 		panic(err)
 	}
 	e.setCurShard(ev)
 	if ev.kind == evWake || ev.kind == evComplete {
-		ev.th.resume <- struct{}{}
-		<-e.yield // wait until the thread blocks again or exits
-		if err := e.trap; err != nil {
+		if _, err := ev.th.resume(); err != nil {
 			panic(err)
 		}
 		return true
@@ -652,34 +643,29 @@ func (e *Engine) Step() bool {
 // Stopped() == true once the virtual clock reaches stopAt and are expected
 // to wind down (finishing in-flight critical sections so queues drain).
 //
-// Serial modes use direct handoff: the blocking thread pops the next event
-// and resumes its thread itself (protocol events it executes inline), so
-// each event costs one channel transfer instead of the step primitives'
-// two (thread -> scheduler -> thread). The oracle engine keeps the
-// mediated loop — it IS the reference behavior. WithShards(n > 1) engages
-// the conservative windowed executor in shard.go. Semantics are identical
-// in every mode: event order, the events counter and all memory effects
-// come from the same total order. A dispatch failure (time regression,
-// event-budget livelock) panics on the caller's goroutine in all modes;
-// the engine is unusable afterwards.
+// The serial and sharded-serial modes run runSerial's driver loop with
+// inline dispatch; the oracle engine steps with ProcessNextEvent — it IS
+// the reference behavior; WithShards(n > 1) engages the conservative
+// windowed executor in shard.go. All of them resume threads through the
+// same coroutine handoff, and event order, the events counter and all
+// memory effects come from the same total order. A dispatch failure (time
+// regression, event-budget livelock) or a thread panic panics on the
+// caller's goroutine in all modes; the engine is unusable afterwards.
 func (e *Engine) Run(stopAt int64) {
 	e.SetHorizon(stopAt)
-	e.launchPending()
 	if e.audit {
 		// Post-run inspection (fingerprints, stats readers) is setup/teardown
 		// as far as the auditor is concerned.
 		defer e.curShard.Store(auditIdle)
 	}
 	switch {
-	case e.pending() == 0:
-		// Nothing scheduled: fall through to the exit check.
 	case e.sharded && e.workers > 1:
 		e.runWindowed()
 	case e.oracle != nil:
 		for e.ProcessNextEvent() {
 		}
 	default:
-		e.runDirect()
+		e.runSerial()
 	}
 	// All events drained: every thread must have exited.
 	for _, t := range e.threads {
@@ -689,80 +675,45 @@ func (e *Engine) Run(stopAt int64) {
 	}
 }
 
-// runDirect is the serial direct-handoff loop: seed the chain from the
-// caller's goroutine (executing any protocol events that precede the first
-// thread wake-up inline), hand control to the first thread, and wait for
-// the queue to drain or a trap.
-func (e *Engine) runDirect() {
-	e.direct = true
-	seeded := false
-	for e.pending() > 0 {
-		ev := e.pop()
-		if err := e.account(ev.at); err != nil {
-			e.direct = false
-			panic(err)
+// runSerial is the serial modes' driver loop, on the Run caller's
+// goroutine. It dispatches up to the first thread event and resumes that
+// thread, which then runs — dispatching inline each time it blocks — until
+// it exits or yields naming the next thread to resume. When a thread exits
+// or yields no successor, the loop dispatches again; it ends when the
+// queue drains or a failure surfaces, which it re-panics here.
+func (e *Engine) runSerial() {
+	e.inline = true
+	t, err := e.dispatch()
+	for t != nil && err == nil {
+		if t, err = t.resume(); t == nil && err == nil {
+			t, err = e.dispatch()
 		}
-		e.setCurShard(ev)
-		if ev.kind == evWake || ev.kind == evComplete {
-			ev.th.resume <- struct{}{}
-			seeded = true
-			break
-		}
-		e.execProtocol(e.shards[ev.dest()], ev)
 	}
-	if !seeded {
-		e.direct = false
-		return
-	}
-	<-e.wake // the queue drained (or a thread trapped)
-	e.direct = false
-	if err := e.trap; err != nil {
+	e.inline = false
+	if err != nil {
 		panic(err)
 	}
 }
 
-// dispatchNext (direct mode, called on a thread goroutine that is
-// suspending or exiting) pops events and transfers control onward. Verb-
-// protocol events execute inline on the calling goroutine; the loop ends at
-// the first thread wake-up or completion, which either belongs to the
-// caller itself — it just keeps running, no handoff at all — or is handed
-// its thread. On a dispatch failure the engine traps: the error goes to the
-// Run caller and this goroutine parks forever, exactly as threads do when a
-// mediated Run panics mid-schedule.
-func (e *Engine) dispatchNext(self *Thread) (keepRunning bool) {
-	for {
-		if e.launched < len(e.threads) {
-			e.launchPending()
-		}
+// dispatch pops events up to the next thread wake-up or verb completion,
+// executing verb-protocol events inline, and returns that event's thread;
+// nil means the queue drained. It runs on whichever goroutine holds
+// control — runSerial's loop or a blocking thread's coroutine — so it
+// returns a failure (time regression, event-budget livelock) instead of
+// panicking inside a thread body.
+func (e *Engine) dispatch() (*Thread, error) {
+	for e.pending() > 0 {
 		ev := e.pop()
 		if err := e.account(ev.at); err != nil {
-			e.trapOut(err)
+			return nil, err
 		}
 		e.setCurShard(ev)
 		if ev.kind == evWake || ev.kind == evComplete {
-			if ev.th == self {
-				return true
-			}
-			ev.th.resume <- struct{}{}
-			return false
+			return ev.th, nil
 		}
 		e.execProtocol(e.shards[ev.dest()], ev)
-		if e.pending() == 0 {
-			// The protocol chain drained with no thread left to wake:
-			// every remaining thread is blocked forever; Run reports the
-			// deadlock.
-			e.wake <- struct{}{}
-			select {}
-		}
 	}
-}
-
-// trapOut hands a dispatch failure to the Run caller and parks the calling
-// goroutine forever (the engine is poisoned).
-func (e *Engine) trapOut(err error) {
-	e.trap = err
-	e.wake <- struct{}{}
-	select {}
+	return nil, nil
 }
 
 // Remote verb operations, stored on the Thread while in flight (one
@@ -786,11 +737,17 @@ type verbState struct {
 
 // Thread is one simulated thread; it implements api.Ctx.
 type Thread struct {
-	e      *Engine
-	shard  *shard // the thread's node's shard: its timeline authority
-	id     int
-	node   int
-	resume chan struct{}
+	e     *Engine
+	shard *shard // the thread's node's shard: its timeline authority
+	id    int
+	node  int
+	// next resumes the thread's coroutine (created by its first resume) and
+	// yield suspends it, handing its resumer the thread to run next (inline
+	// dispatch) or nil. trap is the failure the thread hands its resumer:
+	// its own panic, or an inline dispatch failure.
+	next  func() (*Thread, bool)
+	yield func(*Thread) bool
+	trap  error
 	// rng is the thread's workload stream (api.Ctx.Rand); fabric feeds the
 	// wire-jitter failure injection. Separate PartitionedRNG streams, so
 	// algorithm-side draws never shift the fabric's failure schedule.
@@ -803,57 +760,53 @@ type Thread struct {
 
 var _ api.Ctx = (*Thread)(nil)
 
-func (t *Thread) main() {
-	<-t.resume // initial event at t=0
-	e := t.e
-	if err := t.runUser(); err != nil {
-		// The simulated thread panicked (workload bug, audit violation).
-		// Deliver it to whichever goroutine drives the engine — it
-		// re-panics there, on the Run/Step caller — and let this
-		// goroutine exit. The engine is poisoned afterwards.
-		switch {
-		case e.windowed:
-			t.shard.trap = err
-			t.shard.yield <- struct{}{}
-		case e.direct:
-			e.trap = err
-			e.wake <- struct{}{}
-		default:
-			e.trap = err
-			e.yield <- struct{}{}
-		}
-		return
+// resume runs t on its coroutine until t suspends or exits, and returns
+// the thread t's suspension named to run next (nil unless t dispatched
+// inline) with the failure t trapped, if any. The resumer owns the
+// failure: it re-panics it on its own goroutine, or carries it there.
+func (t *Thread) resume() (*Thread, error) {
+	if t.next == nil {
+		t.next, _ = iter.Pull(t.body)
 	}
-	t.exited = true
-	if e.windowed {
-		// Windowed mode: hand control back to the shard's worker.
-		t.shard.yield <- struct{}{}
-		return
-	}
-	if !e.direct {
-		e.yield <- struct{}{}
-		return
-	}
-	// Direct mode: pass control onward — to the next event's thread, or
-	// back to Run when this exit drained the simulation. An exited thread
-	// has no pending wake-up, so dispatchNext can never pick t itself.
-	if e.pending() == 0 {
-		e.wake <- struct{}{}
-		return
-	}
-	e.dispatchNext(nil)
+	next, _ := t.next()
+	return next, t.trap
 }
 
-// runUser executes the thread's body, converting a panic into an error for
-// the engine to re-raise on the driving goroutine.
-func (t *Thread) runUser() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: thread %d panicked: %v\n%s", t.id, r, debug.Stack())
-		}
-	}()
+// body is the thread's coroutine. A panic in the simulated thread
+// (workload bug, audit violation) becomes t.trap, with the thread's stack,
+// for the resumer to re-raise; the engine is poisoned afterwards.
+func (t *Thread) body(yield func(*Thread) bool) {
+	t.yield = yield
+	defer t.recoverTrap()
 	t.fn(t)
-	return nil
+	t.exited = true
+}
+
+// recoverTrap is body's deferred panic-to-trap conversion.
+func (t *Thread) recoverTrap() {
+	if r := recover(); r != nil {
+		t.trap = fmt.Errorf("sim: thread %d panicked: %v\n%s", t.id, r, debug.Stack())
+	}
+}
+
+// suspend gives up control until t's next wake-up or verb completion
+// resumes it; the caller has already scheduled that event. Under serial
+// Run the thread dispatches inline: it pops and executes events itself,
+// keeps running if the next thread event is its own, and otherwise yields
+// naming the thread to resume — nil when the queue drained (Run then
+// reports the deadlock) or dispatch failed (t.trap carries the failure).
+// In the step and windowed modes it yields straight to its resumer, which
+// pops the next event.
+func (t *Thread) suspend() {
+	var next *Thread
+	if t.e.inline {
+		var err error
+		if next, err = t.e.dispatch(); next == t {
+			return
+		}
+		t.trap = err
+	}
+	t.yield(next)
 }
 
 // now is the thread's view of the virtual clock: its shard's clock under
@@ -871,9 +824,10 @@ func (t *Thread) now() int64 {
 // scheduled — on the global queue in the serial modes; on the thread's own
 // shard, within the safe window, in windowed mode (no other shard can
 // affect this one inside the window by the lookahead contract) — the
-// running thread advances the clock itself and keeps going without a
-// scheduler handoff. Exactly one event is counted per block either way, so
-// the events counter is mode-independent.
+// running thread advances the clock itself and keeps going without
+// suspending. Otherwise it schedules its wake-up and suspends. Exactly one
+// event is counted per block either way, so the events counter is
+// mode-independent.
 func (t *Thread) block(at int64) {
 	e := t.e
 	if e.windowed {
@@ -892,39 +846,7 @@ func (t *Thread) block(at int64) {
 		return
 	}
 	e.scheduleEv(t.shard, at, evWake, t)
-	if e.direct {
-		// Hand control straight to the next event's thread (or keep it, if
-		// that event is our own wake-up) and wait for our turn.
-		if e.dispatchNext(t) {
-			return
-		}
-		<-t.resume
-		return
-	}
-	e.yield <- struct{}{}
-	<-t.resume
-}
-
-// awaitVerb suspends the thread until its in-flight remote verb's
-// completion event resumes it. Unlike block it schedules nothing: the
-// completion is already threaded through the verb protocol.
-func (t *Thread) awaitVerb() {
-	e := t.e
-	if e.windowed {
-		t.shard.yield <- struct{}{}
-		<-t.resume
-		return
-	}
-	if e.direct {
-		// Drive the dispatch chain ourselves until our own completion pops.
-		if e.dispatchNext(t) {
-			return
-		}
-		<-t.resume
-		return
-	}
-	e.yield <- struct{}{}
-	<-t.resume
+	t.suspend()
 }
 
 // NodeID implements api.Ctx.
@@ -1072,7 +994,9 @@ func (t *Thread) remoteVerb(p ptr.Ptr, op uint8, old, val uint64) uint64 {
 	txDone := e.nics[t.node].Submit(t.now(), qp, false, e.remoteInFlight[t.node])
 	t.verb = verbState{p: p, op: op, old: old, val: val, wire: wire}
 	e.scheduleEv(t.shard, txDone+wire, evArrive, t)
-	t.awaitVerb()
+	// Unlike block, nothing to schedule: the completion that resumes the
+	// thread is already threaded through the verb protocol.
+	t.suspend()
 	e.remoteInFlight[t.node]--
 	return t.verb.result
 }
