@@ -91,7 +91,7 @@ func main() {
 		queueCap = flag.Int("svc-queue-cap", 0, "open loop: per-shard admission queue capacity (0 = default 64)")
 		rebal    = flag.Bool("svc-rebalance", false, "open loop: move hot keys off overloaded shards before the run")
 
-		engShards = flag.Int("engine-shards", 0, "per-run engine shard workers (0 = serial engine, 1 = sharded-serial, >1 = windowed parallel)")
+		engShards = flag.Int("engine-shards", 0, "per-run engine shard workers (0 or 1 = serial engine, >1 = windowed parallel)")
 
 		scenName  = flag.String("scenario", "", "run a named scenario instead of a single config")
 		listScens = flag.Bool("list-scenarios", false, "list registered scenarios and exit")

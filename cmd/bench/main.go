@@ -33,7 +33,7 @@ func main() {
 	list := flag.Bool("list", false, "list the suite's case names and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run")
 	memprofile := flag.String("memprofile", "", "write a post-run heap profile")
-	engShards := flag.Int("engine-shards", 0, "worker count for the sharded variant (0 = default 4)")
+	engShards := flag.Int("engine-shards", 0, "worker count for the sharded variant (0 = default 4, 1 = serial engine)")
 	flag.Parse()
 
 	bench.SetShardedWorkers(*engShards)

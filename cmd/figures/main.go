@@ -52,7 +52,7 @@ func main() {
 		scenName  = flag.String("scenario", "", "run a named scenario from the registry instead of the figures")
 		listScens = flag.Bool("list-scenarios", false, "list registered scenarios and exit")
 		progress  = flag.Bool("progress", false, "print per-run completion progress to stderr")
-		engShards = flag.Int("engine-shards", 0, "per-run engine shard workers (0 = serial engine, 1 = sharded-serial, >1 = windowed parallel)")
+		engShards = flag.Int("engine-shards", 0, "per-run engine shard workers (0 or 1 = serial engine, >1 = windowed parallel)")
 	)
 	flag.Parse()
 

@@ -2,9 +2,9 @@ package rules
 
 // HotPathRoots declares the functions whose transitive callees must stay
 // allocation-free. This is the checked-in twin of what alloc_test.go
-// probes dynamically (`testing.AllocsPerRun` over ProcessNextEvent, the
-// Mallocs bound over serial runs): the steady-state event loop of both
-// executors, from scheduling through dispatch and thread resume. Perf PRs
+// probes dynamically (equal Mallocs across serial runs of different
+// lengths, `testing.AllocsPerRun` over window dispatch): the steady-state
+// event loop of both executors, from scheduling through dispatch and thread resume. Perf PRs
 // that add a new dispatch entry point extend this list; the allocfree
 // analyzer reports a finding if a root name stops resolving, so renames
 // can't silently shrink the proved surface.
@@ -17,10 +17,8 @@ package rules
 // through, so the proof stops at the resume and suspend points and
 // workload code stays out of the proved set.
 var HotPathRoots = []string{
-	// Serial executor: public stepping API, Run's driver loop and the
-	// inline dispatch it shares with blocking threads.
-	"alock/internal/sim.(*Engine).Step",
-	"alock/internal/sim.(*Engine).ProcessNextEvent",
+	// Serial executor: Run's driver loop and the inline dispatch it shares
+	// with blocking threads.
 	"alock/internal/sim.(*Engine).runSerial",
 	"alock/internal/sim.(*Engine).dispatch",
 

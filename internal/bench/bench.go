@@ -29,7 +29,7 @@ const Schema = "alock-bench/v2"
 // Engine variant names.
 const (
 	EngineTyped   = "typed"   // typed 4-ary heap, inline dispatch
-	EngineOracle  = "oracle"  // container/heap reference, one resume per event
+	EngineOracle  = "oracle"  // container/heap reference queue, same serial driver
 	EngineSharded = "sharded" // per-node queues, windowed parallel executor
 )
 
@@ -247,8 +247,8 @@ func (c Case) runOnce(variant string) (uint64, int64, time.Duration, uint64, err
 	case EngineOracle:
 		cfg.Oracle = true
 	case EngineSharded:
-		// Scenario configs with TargetOps degrade to sharded-serial inside
-		// the harness; the measurement is still the sharded code path.
+		// Scenario configs with TargetOps degrade to the serial engine
+		// inside the harness, so their sharded numbers measure serial runs.
 		cfg.EngineShards = shardedWorkers
 	}
 	runtime.ReadMemStats(&before)

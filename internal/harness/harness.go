@@ -146,19 +146,18 @@ type Config struct {
 	Seed int64
 	// WordsPerNode sizes each node's memory region (0 = 1Mi words = 8 MiB).
 	WordsPerNode int
-	// Oracle runs the simulation on the reference engine (container/heap
-	// event queue, one thread resume per popped event) instead of the
-	// flattened hot path. Schedules are bit-identical either way — the flag exists so
-	// tests can prove it and internal/bench can measure the difference.
+	// Oracle runs the serial engine on the reference container/heap event
+	// queue instead of the typed heap. Schedules are bit-identical either
+	// way — the flag exists so tests can prove it and internal/bench can
+	// measure the difference.
 	Oracle bool `json:",omitempty"`
-	// EngineShards, if positive, runs the simulation on the node-sharded
-	// engine: per-node event queues with (at 1) a serial merge scheduler or
-	// (above 1) the conservative windowed parallel executor, capped by the
-	// process execution-slot budget. Schedules are bit-identical to the
-	// serial engine in both cases. Workload features that rely on engine-
-	// serialized cross-thread state (TargetOps early stop, wait-die age
-	// ordering) force the worker count down to 1 — sharded-serial — rather
-	// than racing; combining with Oracle is rejected.
+	// EngineShards selects the engine: 0 or 1 is the serial engine, and
+	// above 1 is the conservative windowed parallel executor with that
+	// many workers, capped by the process execution-slot budget. Schedules
+	// are bit-identical to the serial engine either way. Workload features
+	// that rely on engine-serialized cross-thread state (TargetOps early
+	// stop, wait-die age ordering) run on the serial engine rather than
+	// racing; combining a positive value with Oracle is rejected.
 	EngineShards int `json:",omitempty"`
 }
 
@@ -259,12 +258,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("harness: negative engine shards %d", c.EngineShards)
 	}
 	if c.Oracle && c.EngineShards > 0 {
-		return fmt.Errorf("harness: Oracle is the single-queue serial reference and cannot run sharded (EngineShards=%d)", c.EngineShards)
+		return fmt.Errorf("harness: Oracle is a serial-engine queue and cannot be combined with EngineShards=%d", c.EngineShards)
 	}
 	if c.OpenLoop() {
 		// TargetOps is a global countdown shared across every thread —
-		// cross-shard order-dependent state the sharded engine refuses to
-		// race on. The closed-loop path degrades to sharded-serial for it;
+		// cross-shard order-dependent state the windowed executor refuses
+		// to race on. The closed-loop path degrades to serial for it;
 		// the service layer exists to run wide, so the combination is a
 		// config error, not a silent fallback.
 		if c.TargetOps > 0 {
@@ -377,6 +376,20 @@ type Result struct {
 	Svc *SvcStats `json:",omitempty"`
 }
 
+// engineOptions translates cfg's engine knobs into simulator options.
+// serialOnly runs keep the serial engine at any EngineShards: the schedule
+// is identical at any width, so that changes nothing but concurrency.
+func engineOptions(cfg Config, serialOnly bool) []sim.Option {
+	var opts []sim.Option
+	if cfg.Oracle {
+		opts = append(opts, sim.WithOracle())
+	}
+	if cfg.EngineShards > 1 && !serialOnly {
+		opts = append(opts, sim.WithShards(cfg.EngineShards))
+	}
+	return opts
+}
+
 // Run executes one experiment.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
@@ -451,23 +464,11 @@ func Run(cfg Config) (Result, error) {
 		ages = workload.NewAgeTable()
 	}
 
-	var simOpts []sim.Option
-	if cfg.Oracle {
-		simOpts = append(simOpts, sim.WithOracle())
-	}
-	if cfg.EngineShards > 0 {
-		workers := cfg.EngineShards
-		// These features mutate cross-thread state (the shared op counter,
-		// the wait-die age table) relying on the engine serializing threads;
-		// under parallel windows that would race. The schedule is identical
-		// at any width, so degrading to the sharded-serial merge scheduler
-		// changes nothing but concurrency.
-		if workers > 1 && (cfg.TargetOps > 0 || txn.NeedsAges) {
-			workers = 1
-		}
-		simOpts = append(simOpts, sim.WithShards(workers))
-	}
-	e := sim.New(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, simOpts...)
+	// These features mutate cross-thread state (the shared op counter, the
+	// wait-die age table) relying on the engine serializing threads; under
+	// parallel windows that would race.
+	serialOnly := cfg.TargetOps > 0 || txn.NeedsAges
+	e := sim.New(cfg.Nodes, cfg.WordsPerNode, cfg.Model, cfg.Seed, engineOptions(cfg, serialOnly)...)
 	layout := locktable.RoundRobinHome
 	if cfg.HomeSkewPct > 0 {
 		layout = locktable.SkewedHome(0, cfg.HomeSkewPct)

@@ -740,11 +740,12 @@ func TestFigure4DriverTiny(t *testing.T) {
 	}
 }
 
-// TestEngineShardsBitIdentical: a harness run on the sharded engine — both
-// the serial merge scheduler and the windowed parallel executor — must be
-// bit-identical to the serial engine, modulo the engine-selection knob
-// itself. The no-TargetOps variant actually executes parallel windows; the
-// TargetOps variant proves the serializing degrade path preserves results.
+// TestEngineShardsBitIdentical: a harness run at EngineShards 1 (the
+// serial engine) and 4 (the windowed parallel executor) must be
+// bit-identical to the default serial engine, modulo the engine-selection
+// knob itself. The no-TargetOps variant actually executes parallel
+// windows; the TargetOps variant proves the serializing degrade path
+// preserves results.
 func TestEngineShardsBitIdentical(t *testing.T) {
 	for _, algo := range []string{"alock", "mcs"} {
 		base := quickCfg(algo)

@@ -90,10 +90,10 @@ func TestServiceDecomposition(t *testing.T) {
 }
 
 // TestServiceBitIdentity is the dedicated determinism diff for the svc
-// path: one config, replayed across sweep parallelism 1 vs 8 and engine
-// shards 1 vs 4, must produce byte-for-byte identical results. (The
-// scenario oracle test covers the whole svc/ family; this pins the exact
-// widths the CI steps drive.)
+// path: one config, replayed across the serial engine, engine shards 1
+// and 4, and the oracle queue, must produce byte-for-byte identical
+// results. (The scenario oracle test covers the whole svc/ family; this
+// pins the exact widths the CI steps drive.)
 func TestServiceBitIdentity(t *testing.T) {
 	cfg := svcBase()
 	cfg.ZipfS = 1.5

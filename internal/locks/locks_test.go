@@ -457,10 +457,10 @@ func TestBestEffortDeadlineReportsLateAcquire(t *testing.T) {
 }
 
 // TestShardedEngineInvariants runs the full mutual-exclusion invariant
-// suite on the sharded engines — the serial merge scheduler (shards=1) and
-// the conservative windowed parallel executor (shards=4) — and pins every
+// suite at EngineShards 1 (the serial engine, pinning the knob's meaning)
+// and 4 (the conservative windowed parallel executor) and pins every
 // observation (ops, counter sum, tramples, per-lock entry order) to the
-// serial engine's, bit for bit.
+// default serial engine's, bit for bit.
 func TestShardedEngineInvariants(t *testing.T) {
 	for _, name := range []string{"spinlock", "mcs", "alock", "rw-queue"} {
 		name := name
@@ -488,7 +488,7 @@ func TestShardedEngineInvariants(t *testing.T) {
 }
 
 // TestShardedEngineOverlappingHolds repeats the two-locks-held token-API
-// check on both sharded engines.
+// check at the same engine settings.
 func TestShardedEngineOverlappingHolds(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		cfg := locktest.DefaultOverlapConfig()

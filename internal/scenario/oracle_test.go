@@ -11,14 +11,23 @@ import (
 
 // TestTypedEngineMatchesOracleEveryScenario is the engine-swap acceptance
 // gate: every registered scenario, expanded at smoke scale, must produce
-// bit-identical results on all four engine configurations — the production
-// engine (typed 4-ary event heap, serial Run with inline dispatch), the
-// reference engine (container/heap, one thread resume per popped event),
-// the sharded engine with the serial merge scheduler (EngineShards=1), and
-// the conservative windowed parallel executor (EngineShards=4). The typed
-// runs go through the parallel sweep runner and the oracle runs serially,
-// so the comparison also re-proves sweep determinism at any -parallel
-// setting against independent engine implementations.
+// bit-identical results on all three engine configurations — the
+// production serial engine (typed 4-ary event heap), the serial engine on
+// the reference container/heap queue, and the conservative windowed
+// parallel executor (EngineShards=4). The typed runs go through the
+// parallel sweep runner and the oracle runs serially, so the comparison
+// also re-proves sweep determinism at any -parallel setting.
+//
+// Every configuration's results are also checked against the golden
+// fingerprints in testdata/golden.json (see golden_test.go), which pin the
+// schedule across commits: a change that shifts every engine alike — an
+// RNG stream or tie order, say — fails here. Regenerate with -update and
+// name the changed scenarios and the reason in the change description.
+// The fingerprints were generated on amd64 and no other architecture has
+// been checked. They hash float fields (throughput, means, CDF fractions),
+// and service arrival gaps are drawn through math.Log, so an architecture
+// that fuses multiply-adds or computes math.Log differently may not
+// reproduce them even with an unchanged schedule.
 func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -30,9 +39,10 @@ func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 		mutate   func(*harness.Config)
 	}{
 		{"oracle", 1, func(c *harness.Config) { c.Oracle = true }},
-		{"sharded-serial", 2, func(c *harness.Config) { c.EngineShards = 1 }},
-		{"sharded-parallel", 2, func(c *harness.Config) { c.EngineShards = 4 }},
+		{"windowed", 2, func(c *harness.Config) { c.EngineShards = 4 }},
 	}
+	g := loadGoldens(t)
+	t.Cleanup(func() { g.finish(t) })
 	for _, sc := range All() {
 		sc := sc
 		name := strings.ReplaceAll(sc.Name, "/", "_")
@@ -43,6 +53,7 @@ func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sc.Name, err)
 			}
+			g.check(t, sc.Name, "typed", typed)
 			for _, v := range variants {
 				vcfgs := make([]harness.Config, len(cfgs))
 				for i, c := range cfgs {
@@ -53,6 +64,7 @@ func TestTypedEngineMatchesOracleEveryScenario(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s (%s): %v", sc.Name, v.name, err)
 				}
+				g.check(t, sc.Name, v.name, got)
 				for i := range typed {
 					// The engine-selection knobs are the one legitimate
 					// difference; everything else must match bit for bit.

@@ -263,7 +263,7 @@ func TestScenariosRunEndToEnd(t *testing.T) {
 
 // TestSvcDeterminism pins the lock-service layer's determinism contract
 // at the widths CI drives: every svc/ scenario is bit-identical at sweep
-// -parallel 1 vs 8, and at -engine-shards 1 vs 4. Open-loop arrivals are
+// -parallel 1 vs 8, and on the serial engine vs -engine-shards 4. Open-loop arrivals are
 // per-shard Poisson streams with shard-local Go state, so neither sweep
 // concurrency nor the windowed parallel executor may change a byte.
 func TestSvcDeterminism(t *testing.T) {

@@ -13,34 +13,44 @@ import (
 // schedule/pop hot path: once the event slice has grown to its working
 // size, processing an event — heap pop, accounting, the resume of the
 // thread's coroutine, its yield and the re-schedule on the next block —
-// must not allocate. The old
+// must not allocate. Two serial runs of the same engine setup whose event
+// counts differ by tens of thousands must therefore allocate exactly as
+// often: any per-event cost shows up as the difference. The old
 // container/heap queue boxed every event into an interface{} on push and
 // pop, one heap allocation per scheduled event; this test keeps it gone.
 func TestScheduleStepZeroAllocs(t *testing.T) {
-	e := New(1, 1024, model.Uniform(10), 1)
-	for i := 0; i < 4; i++ {
-		e.Spawn(0, func(ctx api.Ctx) {
-			for !ctx.Stopped() {
-				ctx.Work(10 * time.Nanosecond)
+	// run measures one Run to horizon; the best of a few attempts discards
+	// allocations by unrelated runtime activity during the window.
+	run := func(horizon int64) (events, mallocs uint64) {
+		mallocs = ^uint64(0)
+		for attempt := 0; attempt < 3; attempt++ {
+			e := New(1, 1024, model.Uniform(10), 1)
+			for i := 0; i < 4; i++ {
+				e.Spawn(0, func(ctx api.Ctx) {
+					for !ctx.Stopped() {
+						ctx.Work(10 * time.Nanosecond)
+					}
+				})
 			}
-		})
-	}
-	e.SetHorizon(1 << 40)
-	// Warm up: create the threads' coroutines (on their first resume) and
-	// grow the event slice to steady state.
-	for i := 0; i < 256; i++ {
-		e.Step()
-	}
-	avg := testing.AllocsPerRun(2000, func() {
-		if !e.ProcessNextEvent() {
-			t.Fatal("engine drained mid-measurement")
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e.Run(horizon)
+			runtime.ReadMemStats(&after)
+			events = e.Events()
+			mallocs = min(mallocs, after.Mallocs-before.Mallocs)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("schedule/pop path allocates %.3f allocs/event, want 0", avg)
+		return events, mallocs
 	}
-	e.RequestStop()
-	for e.Step() {
+	run(1_000) // warm up: the runtime's goroutine free lists, for the coroutines
+	shortEv, shortAllocs := run(1_000)
+	longEv, longAllocs := run(100_000)
+	if longEv < shortEv+10_000 {
+		t.Fatalf("runs too close to measure: %d vs %d events", shortEv, longEv)
+	}
+	if longAllocs != shortAllocs {
+		t.Fatalf("schedule/pop path allocates: %d allocs over %d events vs %d over %d (%.4f allocs/event)",
+			longAllocs, longEv, shortAllocs, shortEv,
+			(float64(longAllocs)-float64(shortAllocs))/float64(longEv-shortEv))
 	}
 }
 

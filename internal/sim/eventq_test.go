@@ -96,7 +96,7 @@ func contendedEngine(opts ...Option) (*Engine, func() uint64) {
 
 // TestDirectRunMatchesOracleEngine runs the same contended workload on the
 // production engine (typed heap, serial Run with inline dispatch) and the
-// oracle engine (container/heap, one resume per popped event) and asserts
+// serial engine on the oracle queue (container/heap) and asserts
 // bit-identical outcomes: same final clock, same event count, same memory
 // effects.
 func TestDirectRunMatchesOracleEngine(t *testing.T) {

@@ -12,29 +12,19 @@ import (
 	"alock/internal/slots"
 )
 
-// engineMode is one way of building and driving an engine: the four modes
-// share the coroutine handoff, and each must surface failures on the
-// goroutine that drives it and release every goroutine on a clean drain.
+// engineMode is one way of building an engine: both drivers (and the
+// serial driver on the oracle queue) share the coroutine handoff, and each
+// must surface failures on the goroutine that runs it and release every
+// goroutine on a clean drain.
 type engineMode struct {
-	name  string
-	opts  []Option
-	drive func(e *Engine, horizon int64)
-}
-
-func runDrive(e *Engine, horizon int64) { e.Run(horizon) }
-
-// stepDrive drains the engine through the step primitives instead of Run.
-func stepDrive(e *Engine, horizon int64) {
-	e.SetHorizon(horizon)
-	for e.Step() {
-	}
+	name string
+	opts []Option
 }
 
 var engineModes = []engineMode{
-	{"serial", nil, runDrive},
-	{"oracle-step", []Option{WithOracle()}, stepDrive},
-	{"sharded-serial", []Option{WithShards(1)}, runDrive},
-	{"windowed", []Option{WithShards(2)}, runDrive},
+	{"serial", nil},
+	{"oracle", []Option{WithOracle()}},
+	{"windowed", []Option{WithShards(2)}},
 }
 
 // mustPanicWith runs f and returns the message it panicked with on this
@@ -69,7 +59,7 @@ func firstLine(s string) string {
 
 // TestFailuresSurfaceOnDriver: in every mode, a panic inside a thread body
 // and a blown event budget re-panic on the goroutine driving the engine —
-// the Run or Step caller — however the panicking thread was resumed
+// the Run caller — however the panicking thread was resumed
 // (driver loop, inline dispatch by another thread, or a window pool
 // goroutine). The thread panic keeps its thread ID and the thread's stack.
 func TestFailuresSurfaceOnDriver(t *testing.T) {
@@ -87,14 +77,14 @@ func TestFailuresSurfaceOnDriver(t *testing.T) {
 				}
 				panic("boom")
 			})
-			msg := mustPanicWith(t, "sim: thread 4 panicked: boom", func() { m.drive(e, 1<<40) })
+			msg := mustPanicWith(t, "sim: thread 4 panicked: boom", func() { e.Run(1 << 40) })
 			if !strings.Contains(msg, "goroutine") {
 				t.Errorf("thread panic lost the thread's stack:\n%s", msg)
 			}
 		})
 		t.Run(m.name+"/max-events", func(t *testing.T) {
 			e, _ := shardedWorkload(2, 2, append([]Option{WithMaxEvents(500)}, m.opts...)...)
-			mustPanicWith(t, "exceeded 500 events", func() { m.drive(e, 1<<40) })
+			mustPanicWith(t, "exceeded 500 events", func() { e.Run(1 << 40) })
 		})
 	}
 }
@@ -102,14 +92,18 @@ func TestFailuresSurfaceOnDriver(t *testing.T) {
 // TestDeadlockBackstop: a thread still suspended when the queues drain is
 // reported as blocked forever. No api.Ctx workload reaches this — every
 // suspension schedules the event that resumes it — so the test drops a
-// thread's spawn wake-up to stand in for an engine bug. Every mode drives
-// with Run here: the step primitives make no exit check.
+// thread's spawn wake-up — from the serial queue, or from node 1's shard
+// queue under the windowed executor — to stand in for an engine bug.
 func TestDeadlockBackstop(t *testing.T) {
 	for _, m := range engineModes {
 		t.Run(m.name, func(t *testing.T) {
 			e := New(2, 1024, model.CX3(), 1, m.opts...)
 			e.Spawn(1, func(ctx api.Ctx) { ctx.Work(time.Microsecond) })
-			e.pop()
+			if e.sharded {
+				e.shards[1].q.pop()
+			} else {
+				e.pop()
+			}
 			mustPanicWith(t, "sim: thread 0 blocked forever", func() { e.Run(1 << 40) })
 		})
 	}
@@ -127,9 +121,14 @@ func TestCleanDrainReleasesGoroutines(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			e, _ := shardedWorkload(3, 2, m.opts...)
-			m.drive(e, 100_000)
-			if e.HasPendingEvents() {
+			e.Run(100_000)
+			if e.pending() != 0 {
 				t.Fatal("engine did not drain")
+			}
+			for _, s := range e.shards {
+				if s.q.len() != 0 {
+					t.Fatalf("shard %d queue did not drain", s.node)
+				}
 			}
 			got := runtime.NumGoroutine()
 			for deadline := time.Now().Add(2 * time.Second); got > base && time.Now().Before(deadline); {

@@ -4,16 +4,11 @@
 // Every node of the simulated cluster owns a shard: its event queue (one
 // typed 4-ary heap), its sequence counter, its clock, its torn-RMW book,
 // and — through event destinations (event.dest) — its NIC and in-flight
-// congestion counters and its region of cluster memory. In every mode the
-// shards are where sequence numbers are issued and torn state lives; the
-// modes differ only in who pops events:
-//
-//   - serial / oracle: events bypass the shard queues entirely (one global
-//     queue preserves the seed behavior exactly).
-//   - sharded-serial (WithShards(1)): events land on their owning shard's
-//     queue and Run/Step pop the globally least (at, seq) head across
-//     shards — the same total order, bit-identical by construction.
-//   - sharded-parallel (WithShards(n>1)): runWindowed below.
+// congestion counters and its region of cluster memory. On both drivers
+// the shards are where sequence numbers are issued and torn state lives;
+// the per-shard queues are used only by the windowed executor
+// (WithShards(n>1), runWindowed below) — the serial engine keeps every
+// event on its one global queue.
 //
 // The windowed executor is classic conservative parallel discrete-event
 // simulation. Nodes interact only through verbs with a hard latency floor
@@ -60,7 +55,7 @@ type shard struct {
 	node int
 
 	seqCtr uint64     // local issue counter (low bits of seq)
-	q      eventQueue // this node's pending events (sharded modes)
+	q      eventQueue // this node's pending events (windowed executor)
 
 	// tornHeld tracks words on this node currently mid-tear under a remote
 	// RMW (model.TornRCAS): the responder serializes remote atomics, so
@@ -244,7 +239,7 @@ func (e *Engine) claimShards() {
 // clearWindowed is runWindowed's deferred exit hook.
 func (e *Engine) clearWindowed() { e.windowed = false }
 
-// runWindowed is Run's sharded-parallel driver. Concurrency is governed by
+// runWindowed is Run's windowed driver. Concurrency is governed by
 // the process-wide execution-slot budget (internal/slots): the Run caller
 // owns one implicit slot, and each helper goroutine beyond it needs an
 // extra slot, capped by the configured worker count and the node count.

@@ -84,16 +84,12 @@ func runMode(t *testing.T, nodes, tpn int, horizon int64, opts ...Option) string
 	return fingerprint(e, words)
 }
 
-// TestShardedSerialBitIdentical: the sharded engine with the merge
-// scheduler (1 worker) must replay the serial engine's schedule exactly —
-// same clock, same event count, same memory image, same NIC stats.
-func TestShardedSerialBitIdentical(t *testing.T) {
+// TestOracleBitIdentical: the serial engine on the oracle queue must
+// replay the typed heap's schedule exactly — same clock, same event count,
+// same memory image, same NIC stats.
+func TestOracleBitIdentical(t *testing.T) {
 	const horizon = 300_000
 	serial := runMode(t, 4, 3, horizon)
-	sharded := runMode(t, 4, 3, horizon, WithShards(1))
-	if serial != sharded {
-		t.Errorf("sharded-serial diverged from serial:\n serial:  %s\n sharded: %s", serial, sharded)
-	}
 	oracle := runMode(t, 4, 3, horizon, WithOracle())
 	if serial != oracle {
 		t.Errorf("typed serial diverged from oracle:\n serial: %s\n oracle: %s", serial, oracle)
@@ -103,14 +99,15 @@ func TestShardedSerialBitIdentical(t *testing.T) {
 // TestWindowedBitIdentical: the conservative windowed executor must be
 // bit-identical to serial at every worker width, with and without spare
 // execution slots (zero granted helpers still runs the windowed code
-// path with the coordinator doing all the work).
+// path with the coordinator doing all the work). One worker is the
+// serial engine itself.
 func TestWindowedBitIdentical(t *testing.T) {
 	const horizon = 300_000
 	serial := runMode(t, 4, 3, horizon)
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		got := runMode(t, 4, 3, horizon, WithShards(workers))
 		if got != serial {
-			t.Errorf("windowed (workers=%d) diverged from serial:\n serial:   %s\n windowed: %s", workers, got, serial)
+			t.Errorf("windowed (workers=%d) diverged from serial:\n serial:   %s\n windowed: %s", workers, serial, got)
 		}
 	}
 	// With extra slots available, helper goroutines actually run.
@@ -118,7 +115,7 @@ func TestWindowedBitIdentical(t *testing.T) {
 	defer restore()
 	got := runMode(t, 4, 3, horizon, WithShards(4))
 	if got != serial {
-		t.Errorf("windowed (4 workers, 8 slots) diverged from serial:\n serial:   %s\n windowed: %s", got, serial)
+		t.Errorf("windowed (4 workers, 8 slots) diverged from serial:\n serial:   %s\n windowed: %s", serial, got)
 	}
 }
 
@@ -143,7 +140,6 @@ func TestAuditCatchesCrossShardTouch(t *testing.T) {
 		opts []Option
 	}{
 		{"serial", []Option{WithAccessAudit()}},
-		{"sharded-serial", []Option{WithShards(1), WithAccessAudit()}},
 		{"windowed", []Option{WithShards(2), WithAccessAudit()}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -166,9 +162,9 @@ func TestAuditCatchesCrossShardTouch(t *testing.T) {
 	}
 }
 
-// TestOracleRejectsShards: WithOracle is the single-queue serial
-// reference; combining it with WithShards must fail loudly, not silently
-// ignore one of the two.
+// TestOracleRejectsShards: WithOracle is a serial-engine queue; combining
+// it with the windowed executor must fail loudly, not silently ignore one
+// of the two.
 func TestOracleRejectsShards(t *testing.T) {
 	defer func() {
 		r := recover()

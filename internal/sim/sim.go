@@ -11,25 +11,26 @@
 // algorithms require once the prescribed fences are in place (§5.2).
 //
 // Layering (this file + shard.go): the engine is sharded by node. Each
-// node owns a shard — its event queue, its NIC, its threads' wakeups, its
-// region of memory, the torn-RMW book-keeping for words it homes — and all
-// cross-node interaction is routed as events on the owning shard's
-// timeline through the verb protocol (evArrive/evExec/evComplete below).
-// Three run modes share that one event protocol:
+// node owns a shard — its NIC, its threads' wakeups, its region of memory,
+// the torn-RMW book-keeping for words it homes — and all cross-node
+// interaction is routed as events on the owning shard's timeline through
+// the verb protocol (evArrive/evExec/evComplete below). Run has two
+// drivers over that one event protocol:
 //
-//   - serial (default): one global event queue — the reference behavior.
-//   - sharded-serial (WithShards(1)): per-shard queues with a merge
-//     scheduler that always pops the globally least (at, seq) event. The
-//     total order is the same order, so this mode is bit-identical to
-//     serial by construction.
-//   - sharded-parallel (WithShards(n), n > 1): the conservative windowed
-//     executor in shard.go runs each shard's events inside the safe window
-//     [window start, min(shard heads) + lookahead) on its own goroutine,
+//   - serial (default, or WithShards(1)): one global event queue, drained
+//     by runSerial with inline dispatch (below).
+//   - windowed (WithShards(n), n > 1): the conservative executor in
+//     shard.go runs each shard's events inside the safe window
+//     [window start, min(shard heads) + lookahead) on per-shard queues,
 //     barriers, repeats. Lookahead is the minimum cross-node verb latency
 //     (model.Params.RemoteWireNS), and every cross-shard event is sent at
 //     least one lookahead ahead of the sender's clock, so no shard can
 //     receive anything that lands inside the window it is executing —
 //     results are bit-identical to serial, in parallel.
+//
+// WithOracle is not a third driver: it swaps the serial engine's typed
+// heap for the container/heap reference queue and changes nothing else,
+// so comparing the two checks the production queue.
 //
 // Determinism: given the same seed, workload and model, every run produces
 // bit-identical schedules, throughputs and latencies in every mode. Ties on
@@ -38,25 +39,20 @@
 // so tie order depends only on the issuing shard and its deterministic
 // local push order — never on cross-shard execution interleaving.
 //
-// Thread handoff: every mode resumes a thread the same way, by calling its
-// coroutine's next from the goroutine that popped its wake-up or verb
+// Thread handoff: both drivers resume a thread the same way, by calling
+// its coroutine's next from the goroutine that popped its wake-up or verb
 // completion, and a thread suspends by yielding back to that goroutine.
-// No channel or Go scheduler round trip is involved. Under serial Run
-// (and sharded-serial) a blocking thread dispatches inline: it pops the
-// following events itself, executes verb-protocol events on the spot and
-// keeps running when the next thread event is its own; it yields to Run's
-// driver loop only to name the thread to resume. The step primitives
-// (ProcessNextEvent/Step), and Run under WithOracle, resume one thread per
-// popped event so callers can interleave logic between events; the
-// windowed executor resumes threads from whichever pool goroutine claimed
-// their shard. A thread panic is recovered on its coroutine and re-panics
-// on the goroutine driving the engine.
+// No channel or Go scheduler round trip is involved. Under the serial
+// driver a blocking thread dispatches inline: it pops the following events
+// itself, executes verb-protocol events on the spot and keeps running when
+// the next thread event is its own; it yields to runSerial's loop only to
+// name the thread to resume. The windowed executor resumes one thread per
+// popped event, from whichever pool goroutine claimed its shard. A thread
+// panic is recovered on its coroutine and re-panics on the goroutine
+// driving the engine.
 //
 // Hot path: events live in a typed 4-ary min-heap (eventq.go) — no
-// interface boxing, zero allocations per event in steady state. WithOracle
-// selects the original container/heap queue as a bit-exact reference; it
-// is incompatible with WithShards (the oracle IS the single-queue serial
-// path).
+// interface boxing, zero allocations per event in steady state.
 //
 // Costs come from internal/model, and every remote operation is routed
 // through the requester's and responder's internal/nic instances, which is
@@ -66,15 +62,14 @@
 // owning shard.
 //
 // Stop/horizon contract: threads observe Stopped() == true as soon as the
-// virtual clock reaches the horizon armed by SetHorizon/Run, or immediately
-// after RequestStop. SetHorizon may be re-issued at any point to shorten or
-// extend the horizon — extending it un-stops a run that had merely crossed
-// the previous horizon — but an explicit RequestStop is sticky: once
-// requested, no later SetHorizon call makes Stopped() return false again.
-// Workload loops rely on this to wind down exactly once. Under the
-// windowed executor a mid-run RequestStop is observed by other shards
-// without a deterministic cross-shard order — harnesses that stop mid-run
-// (TargetOps) therefore force the serial path.
+// virtual clock reaches the horizon armed by Run, or immediately after
+// RequestStop. Each Run re-arms the horizon — a longer one un-stops a run
+// that had merely crossed the previous horizon — but an explicit
+// RequestStop is sticky: once requested, no later Run makes Stopped()
+// return false again. Workload loops rely on this to wind down exactly
+// once. Under the windowed executor a mid-run RequestStop is observed by
+// other shards without a deterministic cross-shard order — harnesses that
+// stop mid-run (TargetOps) therefore run on the serial engine.
 package sim
 
 import (
@@ -172,10 +167,10 @@ type Engine struct {
 	oracle  *eventHeap
 	shards  []*shard
 	sharded bool
-	// workers is WithShards' executor width: 1 = merge scheduler (sharded-
-	// serial), >1 = the conservative windowed executor for Run. lookahead
-	// is the windowed executor's safety margin: the minimum cross-node verb
-	// latency, below which no shard can affect another.
+	// workers is the windowed executor's width (WithShards(n), n > 1,
+	// which also sets sharded). lookahead is its safety margin: the
+	// minimum cross-node verb latency, below which no shard can affect
+	// another.
 	workers   int
 	lookahead int64
 
@@ -188,20 +183,17 @@ type Engine struct {
 
 	now    int64
 	stopAt int64
-	// stopped is what Thread.Stopped reports on the serial paths; it is
+	// stopped is what Thread.Stopped reports on the serial engine; it is
 	// raised by the clock crossing stopAt or by RequestStop. stopRequested
 	// records an explicit RequestStop (atomically, so threads on parallel
-	// shards observe it too) so a later SetHorizon cannot un-stop the run.
+	// shards observe it too) so a later Run cannot un-stop the engine.
 	stopped       bool
 	stopRequested atomic.Bool
 
 	threads []*Thread
-	// inline marks a serial Run in progress: a blocking thread dispatches
-	// the next events itself (Thread.suspend) instead of yielding to its
-	// resumer for each one. windowed marks a parallel Run in progress:
-	// threads observe their shard's clock and yield to its window
-	// (shard.go).
-	inline   bool
+	// windowed marks a windowed Run in progress: threads observe their
+	// shard's clock and yield to its window (shard.go). Otherwise a
+	// blocking thread dispatches the next events itself (Thread.suspend).
 	windowed bool
 
 	// loopInFlight / remoteInFlight count the operations of each class
@@ -217,7 +209,7 @@ type Engine struct {
 	maxEvents uint64
 
 	// audit enables the debug access-audit mode: curShard tracks which
-	// shard's timeline is executing (serial modes) and the mem.Space hook
+	// shard's timeline is executing (serial engine) and the mem.Space hook
 	// panics on touches of another shard's region; under the windowed
 	// executor the per-shard active flags catch touches of idle shards and
 	// the race detector covers the rest.
@@ -238,34 +230,31 @@ func WithMaxEvents(n uint64) Option {
 	return func(e *Engine) { e.maxEvents = n }
 }
 
-// WithOracle switches the engine to the reference implementation: the
-// container/heap event queue driven by the step primitives. Event
-// order is a total order on (at, seq), so the oracle replays bit-identical
-// schedules — it exists to verify the typed-heap engine (and to measure
-// what the flattened hot path buys; see internal/bench). Run on the oracle
-// resumes one thread per popped event through ProcessNextEvent.
-// The oracle IS the single-queue serial path: combining it with WithShards
-// is a configuration error and New panics on it.
+// WithOracle swaps the serial engine's typed heap for the reference
+// container/heap event queue; Run drives it with the same serial driver.
+// Event order is a total order on (at, seq), so the oracle replays
+// bit-identical schedules — it exists to verify the typed heap (and to
+// measure what it buys; see internal/bench). The oracle is a serial-engine
+// queue: combining it with the windowed executor (WithShards(n), n > 1) is
+// a configuration error and New panics on it.
 func WithOracle() Option {
 	return func(e *Engine) { e.oracle = &eventHeap{} }
 }
 
-// WithShards routes events through the per-node shard queues. workers is
-// the executor width for Run: 1 selects the merge scheduler (sharded but
-// serial — bit-identical to the default engine by construction, it pops
-// the same global (at, seq) order from per-shard heaps), and workers > 1
-// selects the conservative windowed executor (shard.go), which runs up to
-// that many shards' windows concurrently — still bit-identical, because no
-// event crosses shards with less than one lookahead of slack. Worker
-// counts above the node count or the process's execution-slot budget
-// (internal/slots) are clamped at Run time; results never depend on the
-// effective width.
+// WithShards sets the executor width for Run. One worker is the serial
+// engine; workers > 1 selects the conservative windowed executor
+// (shard.go), which routes events through the per-node shard queues and
+// runs up to that many shards' windows concurrently — bit-identical to
+// serial, because no event crosses shards with less than one lookahead of
+// slack. Worker counts above the node count or the process's
+// execution-slot budget (internal/slots) are clamped at Run time; results
+// never depend on the effective width.
 func WithShards(workers int) Option {
 	if workers < 1 {
 		panic(fmt.Sprintf("sim: WithShards(%d): need at least one worker", workers))
 	}
 	return func(e *Engine) {
-		e.sharded = true
+		e.sharded = workers > 1
 		e.workers = workers
 	}
 }
@@ -273,8 +262,8 @@ func WithShards(workers int) Option {
 // WithAccessAudit enables the debug access-audit mode: every mem.Space
 // access is checked against the shard model, and a word touched from
 // another shard's timeline outside the verb protocol panics instead of
-// silently racing. The serial modes enforce the check exactly (and any
-// violation occurs at the same virtual point in every mode, so a serial
+// silently racing. The serial engine enforces the check exactly (and any
+// violation occurs at the same virtual point in both drivers, so a serial
 // audit run certifies the schedule for the parallel one); the windowed
 // executor catches touches of idle shards and leaves concurrent-touch
 // detection to the race detector.
@@ -311,7 +300,7 @@ func New(nodes, wordsPerNode int, p model.Params, seed int64, opts ...Option) *E
 		o(e)
 	}
 	if e.oracle != nil && e.sharded {
-		panic("sim: WithOracle is the single-queue serial reference and cannot be combined with WithShards")
+		panic("sim: WithOracle is a serial-engine queue and cannot be combined with WithShards(n > 1)")
 	}
 	e.curShard.Store(auditIdle)
 	if e.audit {
@@ -338,14 +327,6 @@ func (e *Engine) auditAccess(node int) {
 	}
 }
 
-// setCurShard records which shard's timeline the next dispatch executes on,
-// for the access auditor. No-op (no atomic traffic) when auditing is off.
-func (e *Engine) setCurShard(ev event) {
-	if e.audit {
-		e.curShard.Store(int32(ev.dest()))
-	}
-}
-
 // Space exposes the cluster memory for setup code (e.g. allocating a lock
 // table before threads start). It must not be touched while Run is active.
 func (e *Engine) Space() *mem.Space { return e.space }
@@ -362,7 +343,7 @@ func (e *Engine) Now() int64 { return e.now }
 // RequestStop makes Stopped() return true from this point on, regardless
 // of the time horizon. It may be called from inside a simulated thread
 // (e.g. by a measurement harness once it has collected enough operations).
-// An explicit stop is sticky: no subsequent SetHorizon re-arms the run.
+// An explicit stop is sticky: no subsequent Run re-arms it.
 // Under the windowed executor other shards observe the stop without a
 // deterministic cross-shard order; mid-run stoppers needing determinism
 // must run the serial path (the harness forces this for TargetOps).
@@ -408,8 +389,9 @@ func (e *Engine) Spawn(node int, fn func(api.Ctx)) *Thread {
 }
 
 // scheduleEv creates an event on `from`'s timeline (consuming one of its
-// sequence numbers) and routes it to its destination shard's queue — or the
-// single global queue in the unsharded modes. During a parallel window a
+// sequence numbers) and routes it to the serial engine's global queue, or
+// to its destination shard's queue under the windowed executor. During a
+// parallel window a
 // cross-shard send is deferred to the sender's outbox, which the barrier
 // drains; the conservative contract that makes this safe — nothing may
 // cross shards with less than one lookahead of slack — is asserted here.
@@ -436,107 +418,33 @@ func (e *Engine) scheduleEv(from *shard, at int64, kind uint8, t *Thread) {
 	dst.q.push(ev)
 }
 
-// pending reports the number of scheduled events.
+// pending reports the number of events on the serial engine's queue.
 func (e *Engine) pending() int {
 	if e.oracle != nil {
 		return e.oracle.Len()
 	}
-	if !e.sharded {
-		return e.q.len()
-	}
-	n := 0
-	for _, s := range e.shards {
-		n += s.q.len()
-	}
-	return n
+	return e.q.len()
 }
 
-// pop removes and returns the earliest event; the queue must be non-empty.
-// In the sharded modes this is the merge scheduler: the globally least
-// (at, seq) event across all shard heads — the same total order the global
-// queue pops, so sharded-serial is bit-identical to serial by construction.
+// pop removes and returns the serial engine's earliest event; the queue
+// must be non-empty.
 func (e *Engine) pop() event {
 	if e.oracle != nil {
 		return heap.Pop(e.oracle).(event)
 	}
-	if !e.sharded {
-		return e.q.pop()
-	}
-	best := -1
-	var bestEv event
-	for i, s := range e.shards {
-		if s.q.len() == 0 {
-			continue
-		}
-		if ev := s.q.min(); best < 0 || eventLess(ev, bestEv) {
-			best, bestEv = i, ev
-		}
-	}
-	return e.shards[best].q.pop()
+	return e.q.pop()
 }
 
-// minAt returns the earliest scheduled time; ok is false on an empty queue.
+// minAt returns the serial engine's earliest scheduled time; ok is false
+// on an empty queue.
 func (e *Engine) minAt() (at int64, ok bool) {
+	if e.pending() == 0 {
+		return 0, false
+	}
 	if e.oracle != nil {
-		if e.oracle.Len() == 0 {
-			return 0, false
-		}
 		return (*e.oracle)[0].at, true
 	}
-	if !e.sharded {
-		if e.q.len() == 0 {
-			return 0, false
-		}
-		return e.q.min().at, true
-	}
-	for _, s := range e.shards {
-		if s.q.len() == 0 {
-			continue
-		}
-		if h := s.q.min().at; !ok || h < at {
-			at, ok = h, true
-		}
-	}
-	return at, ok
-}
-
-// account applies one event dispatch's bookkeeping: clock advance, horizon
-// check, event counting and the runaway guard. It returns an error rather
-// than panicking so inline dispatch on a thread's coroutine can hand the
-// failure to the Run caller (see Thread.suspend); the step primitives
-// panic on it directly.
-func (e *Engine) account(at int64) error {
-	if at < e.now {
-		return fmt.Errorf("sim: time went backwards (%dns after %dns)", at, e.now) //lint:allow allocfree trap path: the run is over once this fires
-	}
-	e.now = at
-	if e.now >= e.stopAt {
-		e.stopped = true
-	}
-	e.events++
-	if e.events > e.maxEvents {
-		return fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, e.now) //lint:allow allocfree trap path: the run is over once this fires
-	}
-	return nil
-}
-
-// SetHorizon (re)arms the measurement horizon: Stopped() returns true from
-// the moment the virtual clock reaches stopAt. Step-driving callers use it
-// in place of Run's stopAt argument. Extending the horizon un-stops a run
-// that had merely crossed the previous horizon, but never one that called
-// RequestStop — an explicit stop is sticky.
-func (e *Engine) SetHorizon(stopAt int64) {
-	e.stopAt = stopAt
-	e.stopped = e.stopRequested.Load() || e.now >= stopAt
-}
-
-// HasPendingEvents reports whether any event remains scheduled.
-func (e *Engine) HasPendingEvents() bool { return e.pending() > 0 }
-
-// PeekNextEventTime returns the virtual time of the earliest pending event
-// without processing it; ok is false when no event is pending.
-func (e *Engine) PeekNextEventTime() (at int64, ok bool) {
-	return e.minAt()
+	return e.q.min().at, true
 }
 
 // execProtocol runs a verb-protocol event's handler. s is the event's
@@ -605,66 +513,31 @@ func (e *Engine) execProtocol(s *shard, ev event) {
 	}
 }
 
-// ProcessNextEvent pops the earliest pending event, advances the virtual
-// clock to it, and processes it: a thread wake-up or verb completion
-// resumes its thread's coroutine until that thread blocks again or exits;
-// a verb-protocol event executes inline. It reports whether an event was
-// processed (false means the queue is empty). Panics on time regression,
-// when the event budget is exceeded (a livelock in the simulated system),
-// or with the thread's panic when a thread body panics.
-func (e *Engine) ProcessNextEvent() bool {
-	if e.pending() == 0 {
-		return false
-	}
-	ev := e.pop()
-	if err := e.account(ev.at); err != nil {
-		panic(err)
-	}
-	e.setCurShard(ev)
-	if ev.kind == evWake || ev.kind == evComplete {
-		if _, err := ev.th.resume(); err != nil {
-			panic(err)
-		}
-		return true
-	}
-	e.execProtocol(e.shards[ev.dest()], ev)
-	return true
-}
-
-// Step advances the simulation by exactly one event and reports whether
-// more events remain pending — `for e.Step() {}` drains the run. It is
-// ProcessNextEvent with a continuation-friendly return value for callers
-// that interleave their own logic between events.
-func (e *Engine) Step() bool {
-	return e.ProcessNextEvent() && e.HasPendingEvents()
-}
-
 // Run drives the simulation until every thread has exited. Threads observe
 // Stopped() == true once the virtual clock reaches stopAt and are expected
 // to wind down (finishing in-flight critical sections so queues drain).
+// stopAt re-arms the horizon on every call: a later Run with a longer
+// horizon un-stops an engine that had merely crossed the previous one, but
+// never one that called RequestStop.
 //
-// The serial and sharded-serial modes run runSerial's driver loop with
-// inline dispatch; the oracle engine steps with ProcessNextEvent — it IS
-// the reference behavior; WithShards(n > 1) engages the conservative
-// windowed executor in shard.go. All of them resume threads through the
-// same coroutine handoff, and event order, the events counter and all
-// memory effects come from the same total order. A dispatch failure (time
-// regression, event-budget livelock) or a thread panic panics on the
-// caller's goroutine in all modes; the engine is unusable afterwards.
+// The serial engine (with either queue) runs runSerial's driver loop;
+// WithShards(n > 1) engages the conservative windowed executor in
+// shard.go. Both resume threads through the same coroutine handoff, and
+// event order, the events counter and all memory effects come from the
+// same total order. A dispatch failure (time regression, event-budget
+// livelock) or a thread panic panics on the caller's goroutine in both;
+// the engine is unusable afterwards.
 func (e *Engine) Run(stopAt int64) {
-	e.SetHorizon(stopAt)
+	e.stopAt = stopAt
+	e.stopped = e.stopRequested.Load() || e.now >= stopAt
 	if e.audit {
 		// Post-run inspection (fingerprints, stats readers) is setup/teardown
 		// as far as the auditor is concerned.
 		defer e.curShard.Store(auditIdle)
 	}
-	switch {
-	case e.sharded && e.workers > 1:
+	if e.sharded {
 		e.runWindowed()
-	case e.oracle != nil:
-		for e.ProcessNextEvent() {
-		}
-	default:
+	} else {
 		e.runSerial()
 	}
 	// All events drained: every thread must have exited.
@@ -675,39 +548,49 @@ func (e *Engine) Run(stopAt int64) {
 	}
 }
 
-// runSerial is the serial modes' driver loop, on the Run caller's
+// runSerial is the serial engine's driver loop, on the Run caller's
 // goroutine. It dispatches up to the first thread event and resumes that
 // thread, which then runs — dispatching inline each time it blocks — until
 // it exits or yields naming the next thread to resume. When a thread exits
 // or yields no successor, the loop dispatches again; it ends when the
 // queue drains or a failure surfaces, which it re-panics here.
 func (e *Engine) runSerial() {
-	e.inline = true
 	t, err := e.dispatch()
 	for t != nil && err == nil {
 		if t, err = t.resume(); t == nil && err == nil {
 			t, err = e.dispatch()
 		}
 	}
-	e.inline = false
 	if err != nil {
 		panic(err)
 	}
 }
 
 // dispatch pops events up to the next thread wake-up or verb completion,
-// executing verb-protocol events inline, and returns that event's thread;
-// nil means the queue drained. It runs on whichever goroutine holds
-// control — runSerial's loop or a blocking thread's coroutine — so it
-// returns a failure (time regression, event-budget livelock) instead of
-// panicking inside a thread body.
+// advancing the clock, horizon and event count for each and executing
+// verb-protocol events inline, and returns that event's thread; nil means
+// the queue drained. It runs on whichever goroutine holds control —
+// runSerial's loop or a blocking thread's coroutine — so it returns a
+// failure (time regression, event-budget livelock) instead of panicking
+// inside a thread body.
 func (e *Engine) dispatch() (*Thread, error) {
 	for e.pending() > 0 {
 		ev := e.pop()
-		if err := e.account(ev.at); err != nil {
-			return nil, err
+		if ev.at < e.now {
+			return nil, fmt.Errorf("sim: time went backwards (%dns after %dns)", ev.at, e.now) //lint:allow allocfree trap path: the run is over once this fires
 		}
-		e.setCurShard(ev)
+		e.now = ev.at
+		if e.now >= e.stopAt {
+			e.stopped = true
+		}
+		e.events++
+		if e.events > e.maxEvents {
+			return nil, fmt.Errorf("sim: exceeded %d events at t=%dns — livelock?", e.maxEvents, e.now) //lint:allow allocfree trap path: the run is over once this fires
+		}
+		if e.audit {
+			// The auditor checks memory touches against this event's shard.
+			e.curShard.Store(int32(ev.dest()))
+		}
 		if ev.kind == evWake || ev.kind == evComplete {
 			return ev.th, nil
 		}
@@ -790,16 +673,16 @@ func (t *Thread) recoverTrap() {
 }
 
 // suspend gives up control until t's next wake-up or verb completion
-// resumes it; the caller has already scheduled that event. Under serial
-// Run the thread dispatches inline: it pops and executes events itself,
+// resumes it; the caller has already scheduled that event. On the serial
+// engine the thread dispatches inline: it pops and executes events itself,
 // keeps running if the next thread event is its own, and otherwise yields
 // naming the thread to resume — nil when the queue drained (Run then
 // reports the deadlock) or dispatch failed (t.trap carries the failure).
-// In the step and windowed modes it yields straight to its resumer, which
+// Under the windowed executor it yields straight to its resumer, which
 // pops the next event.
 func (t *Thread) suspend() {
 	var next *Thread
-	if t.e.inline {
+	if !t.e.windowed {
 		var err error
 		if next, err = t.e.dispatch(); next == t {
 			return
@@ -821,7 +704,7 @@ func (t *Thread) now() int64 {
 // block suspends the thread until virtual time `at`.
 //
 // Fast path: if no event that could observably run before `at` is
-// scheduled — on the global queue in the serial modes; on the thread's own
+// scheduled — on the global queue on the serial engine; on the thread's own
 // shard, within the safe window, in windowed mode (no other shard can
 // affect this one inside the window by the lookahead contract) — the
 // running thread advances the clock itself and keeps going without

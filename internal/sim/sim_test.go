@@ -191,9 +191,10 @@ func TestStoppedFlag(t *testing.T) {
 }
 
 func TestRequestStopSurvivesSetHorizon(t *testing.T) {
-	// Regression: SetHorizon used to recompute e.stopped from the clock
-	// alone, silently un-stopping a run whose harness had called
-	// RequestStop. An explicit stop must be sticky across re-arms.
+	// Regression: re-arming the horizon used to recompute e.stopped from
+	// the clock alone, silently un-stopping a run whose harness had called
+	// RequestStop. An explicit stop must be sticky across re-arms, which
+	// every Run performs.
 	p := model.Uniform(10)
 	e := New(1, 1024, p, 1)
 	var iters int
@@ -205,18 +206,12 @@ func TestRequestStopSurvivesSetHorizon(t *testing.T) {
 			}
 		}
 	})
-	e.SetHorizon(1 << 40)
-	for e.Step() {
-	}
+	e.Run(1 << 40)
 	if iters != 50 {
 		t.Fatalf("RequestStop did not cut the run short: %d iterations", iters)
 	}
 	if !e.Stopped() {
 		t.Fatal("RequestStop did not stop the engine")
-	}
-	e.SetHorizon(1 << 41) // re-arm further out: must NOT un-stop the run
-	if !e.Stopped() {
-		t.Fatal("SetHorizon after RequestStop un-stopped the run")
 	}
 	var extra int
 	e.Spawn(0, func(ctx api.Ctx) {
@@ -225,7 +220,9 @@ func TestRequestStopSurvivesSetHorizon(t *testing.T) {
 			extra++
 		}
 	})
-	for e.Step() {
+	e.Run(1 << 41) // re-arm further out: must NOT un-stop the run
+	if !e.Stopped() {
+		t.Fatal("a later Run after RequestStop un-stopped the engine")
 	}
 	if extra != 0 {
 		t.Fatalf("thread ran %d iterations after a sticky stop", extra)
@@ -234,18 +231,21 @@ func TestRequestStopSurvivesSetHorizon(t *testing.T) {
 
 func TestSetHorizonRearmsWithoutRequestStop(t *testing.T) {
 	// The flip side of the sticky-stop contract: with no explicit stop,
-	// extending the horizon past the clock un-stops the run.
+	// a later Run with a horizon past the clock un-stops the engine.
 	e := New(1, 1024, model.Uniform(10), 1)
-	e.SetHorizon(5)
 	e.Spawn(0, func(ctx api.Ctx) { ctx.Work(100 * time.Nanosecond) })
-	for e.Step() {
-	}
+	e.Run(5)
 	if !e.Stopped() {
 		t.Fatal("run past horizon not stopped")
 	}
-	e.SetHorizon(1 << 40)
-	if e.Stopped() {
+	stoppedAtStart := true
+	e.Spawn(0, func(ctx api.Ctx) { stoppedAtStart = ctx.Stopped() })
+	e.Run(1 << 40)
+	if stoppedAtStart {
 		t.Fatal("extending the horizon did not re-arm a horizon-only stop")
+	}
+	if e.Stopped() {
+		t.Fatal("engine stopped before reaching the re-armed horizon")
 	}
 }
 
@@ -420,91 +420,6 @@ func TestVerbJitterInjectsDelay(t *testing.T) {
 	// ~40 of 200 verbs pick up 5us: expect at least 100us extra.
 	if jittered < clean+100_000 {
 		t.Fatalf("jitter not applied: clean=%dns jittered=%dns", clean, jittered)
-	}
-}
-
-func TestStepPrimitivesMatchRun(t *testing.T) {
-	// Driving the engine event by event through the step primitives must
-	// produce exactly the run Run produces: same final time, same event
-	// count, same memory effects.
-	build := func() (*Engine, ptr.Ptr) {
-		p := model.CX3()
-		e := New(2, 1024, p, 21)
-		w := e.Space().AllocLine(0)
-		for i := 0; i < 4; i++ {
-			node := i % 2
-			e.Spawn(node, func(ctx api.Ctx) {
-				for !ctx.Stopped() {
-					for {
-						old := ctx.RRead(w)
-						if ctx.RCAS(w, old, old+1) == old {
-							break
-						}
-					}
-				}
-			})
-		}
-		return e, w
-	}
-
-	ref, wRef := build()
-	ref.Run(200_000)
-
-	e, w := build()
-	e.SetHorizon(200_000)
-	steps := 0
-	var lastPeek int64 = -1
-	for e.HasPendingEvents() {
-		at, ok := e.PeekNextEventTime()
-		if !ok {
-			t.Fatal("HasPendingEvents true but PeekNextEventTime not ok")
-		}
-		if at < lastPeek {
-			t.Fatalf("event times regressed: %d after %d", at, lastPeek)
-		}
-		lastPeek = at
-		if !e.ProcessNextEvent() {
-			t.Fatal("ProcessNextEvent found no event despite pending")
-		}
-		steps++
-	}
-	if steps == 0 {
-		t.Fatal("no events processed")
-	}
-	if e.Now() != ref.Now() {
-		t.Fatalf("stepped Now=%d, Run Now=%d", e.Now(), ref.Now())
-	}
-	if e.Events() != ref.Events() {
-		t.Fatalf("stepped events=%d, Run events=%d", e.Events(), ref.Events())
-	}
-	var got, want uint64
-	e.Spawn(0, func(ctx api.Ctx) { got = ctx.Read(w) })
-	ref.Spawn(0, func(ctx api.Ctx) { want = ctx.Read(wRef) })
-	e.Run(1 << 41)
-	ref.Run(1 << 41)
-	if got != want {
-		t.Fatalf("stepped counter=%d, Run counter=%d", got, want)
-	}
-}
-
-func TestStepDrainsRun(t *testing.T) {
-	p := model.Uniform(10)
-	e := New(1, 1024, p, 1)
-	var iters int
-	e.Spawn(0, func(ctx api.Ctx) {
-		for !ctx.Stopped() {
-			ctx.Work(100 * time.Nanosecond)
-			iters++
-		}
-	})
-	e.SetHorizon(10_000)
-	for e.Step() {
-	}
-	if e.HasPendingEvents() {
-		t.Fatal("Step loop left pending events")
-	}
-	if iters < 90 || iters > 110 {
-		t.Fatalf("iterations before stop = %d, want ~100", iters)
 	}
 }
 

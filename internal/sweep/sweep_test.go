@@ -186,7 +186,7 @@ func TestSlotBudgetComposition(t *testing.T) {
 
 	cfgs := testConfigs()
 	for i := range cfgs {
-		// TargetOps forces sharded-serial; drop it so the windowed
+		// TargetOps forces the serial engine; drop it so the windowed
 		// executor actually requests helper slots.
 		cfgs[i].TargetOps = 0
 		cfgs[i].MeasureNS = 150_000
