@@ -110,6 +110,21 @@ type Ctx interface {
 	// think time between operations.
 	Work(d time.Duration)
 
+	// WaitUntil idles in polls of d until ready reports true: it means
+	// exactly `for !ready() { Work(d) }`, and returns at once if ready
+	// already holds. d must be positive (WaitUntil panics otherwise: the
+	// Work(0) loop it stands for never advances time).
+	//
+	// ready must be a pure predicate over the caller's own node's state.
+	// It has no side effects, and it calls no Ctx method that costs engine
+	// time (memory operations, Fence, Pause, Work, WaitUntil); reading the
+	// caller's NodeID, ThreadID, Now and Stopped is fine. The engine may
+	// evaluate it at each poll instant without resuming the caller:
+	// internal/sim does, on whichever goroutine dispatches the poll. So
+	// ready must not rely on running on the caller's own stack, and a
+	// panic in it is reported as the caller's panic.
+	WaitUntil(d time.Duration, ready func() bool)
+
 	// Now returns nanoseconds of engine time since the run began
 	// (virtual time under internal/sim, wall time under internal/rt).
 	Now() int64

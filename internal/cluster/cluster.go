@@ -27,6 +27,12 @@
 // Lock state itself lives in simulated memory, where cross-node access is
 // the engine's job; workers reach locks homed anywhere through ordinary
 // (costed) local or RDMA operations.
+//
+// Idle workers poll their shard queue every pollNS through
+// api.Ctx.WaitUntil, whose predicate reads only that shard-local queue and
+// the stop flag. Below saturation most workers are idle most of the time,
+// so polls are most of a service run's events; the engine evaluates them
+// without a coroutine switch, with the schedule of a plain Work loop.
 package cluster
 
 import (
@@ -43,6 +49,9 @@ import (
 
 // pollNS is the idle worker's re-check quantum. A constant (never drawn
 // from randomness) so service order is a pure function of the schedule.
+// Each poll is one engine event, exactly as a Work(pollNS) loop's would
+// be; WaitUntil only lets the engine run the check without resuming the
+// worker.
 const pollNS = 500
 
 // Policy selects what a full admission queue does with overflow.
@@ -329,10 +338,12 @@ func (c *Cluster) serve(ctx api.Ctx, sh *shard, prov locks.Provider, ft *locks.F
 	spec := c.spec
 	h := locks.TokenHandleFor(prov, ctx, ft)
 	cs := time.Duration(spec.CSWorkNS)
+	// Built once, so idling allocates nothing.
+	ready := func() bool { return sh.qlen() > 0 || ctx.Stopped() }
 	for !ctx.Stopped() {
 		r, ok := sh.pop()
 		if !ok {
-			ctx.Work(pollNS * time.Nanosecond)
+			ctx.WaitUntil(pollNS*time.Nanosecond, ready)
 			continue
 		}
 		deqNS := ctx.Now()

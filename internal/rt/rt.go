@@ -193,6 +193,16 @@ func (t *thread) Work(d time.Duration) {
 	time.Sleep(d)
 }
 
+// WaitUntil implements api.Ctx as the loop it is defined by.
+func (t *thread) WaitUntil(d time.Duration, ready func() bool) {
+	if d <= 0 {
+		panic(fmt.Sprintf("rt: WaitUntil(%v): the poll interval must be positive", d))
+	}
+	for !ready() {
+		t.Work(d)
+	}
+}
+
 // spinFor busy-waits for approximately d without yielding the P, which is
 // the right model for a short critical-section body.
 func spinFor(d time.Duration) {

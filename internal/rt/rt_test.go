@@ -109,6 +109,46 @@ func TestStopFlag(t *testing.T) {
 	}
 }
 
+// TestWaitUntilReturnsWhenFlipped: a WaitUntil waiter keeps polling until
+// another goroutine flips its condition, then returns; with the condition
+// already true it returns without polling; a non-positive interval panics.
+func TestWaitUntilReturnsWhenFlipped(t *testing.T) {
+	e := rt.New(1, 1<<10, rt.Config{}, 1)
+	var flag atomic.Bool
+	var polls atomic.Int64
+	waited := make(chan struct{})
+	e.Spawn(0, func(ctx api.Ctx) {
+		ctx.WaitUntil(time.Microsecond, func() bool {
+			polls.Add(1)
+			return flag.Load()
+		})
+		close(waited)
+		n := polls.Load()
+		ctx.WaitUntil(time.Microsecond, func() bool { polls.Add(1); return true })
+		if got := polls.Load(); got != n+1 {
+			t.Errorf("already-true WaitUntil polled %d times, want 1", got-n)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("WaitUntil(0) did not panic")
+			}
+		}()
+		ctx.WaitUntil(0, func() bool { return false })
+	})
+	time.Sleep(5 * time.Millisecond)
+	select {
+	case <-waited:
+		t.Fatal("WaitUntil returned before its condition held")
+	default:
+	}
+	flag.Store(true)
+	e.Wait()
+	<-waited
+	if polls.Load() < 2 {
+		t.Fatalf("waiter polled %d times, want repeated polls before the flip", polls.Load())
+	}
+}
+
 // TestTornRCASWindow shows the Table 1 hazard deterministically on the
 // real-time engine: a remote CAS with a long torn window is clobbered by a
 // local write that lands inside it.

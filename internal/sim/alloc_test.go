@@ -7,6 +7,7 @@ import (
 
 	"alock/internal/api"
 	"alock/internal/model"
+	"alock/internal/slots"
 )
 
 // TestScheduleStepZeroAllocs is the allocation guard on the engine's
@@ -19,19 +20,29 @@ import (
 // container/heap queue boxed every event into an interface{} on push and
 // pop, one heap allocation per scheduled event; this test keeps it gone.
 func TestScheduleStepZeroAllocs(t *testing.T) {
+	requireNoPerEventAllocs(t, "schedule/pop path", func() *Engine {
+		e := New(1, 1024, model.Uniform(10), 1)
+		for i := 0; i < 4; i++ {
+			e.Spawn(0, func(ctx api.Ctx) {
+				for !ctx.Stopped() {
+					ctx.Work(10 * time.Nanosecond)
+				}
+			})
+		}
+		return e
+	})
+}
+
+// requireNoPerEventAllocs runs engines from build to a short and a long
+// horizon and fails unless both runs allocate exactly as often.
+func requireNoPerEventAllocs(t *testing.T, what string, build func() *Engine) {
+	t.Helper()
 	// run measures one Run to horizon; the best of a few attempts discards
 	// allocations by unrelated runtime activity during the window.
 	run := func(horizon int64) (events, mallocs uint64) {
 		mallocs = ^uint64(0)
 		for attempt := 0; attempt < 3; attempt++ {
-			e := New(1, 1024, model.Uniform(10), 1)
-			for i := 0; i < 4; i++ {
-				e.Spawn(0, func(ctx api.Ctx) {
-					for !ctx.Stopped() {
-						ctx.Work(10 * time.Nanosecond)
-					}
-				})
-			}
+			e := build()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			e.Run(horizon)
@@ -48,8 +59,8 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 		t.Fatalf("runs too close to measure: %d vs %d events", shortEv, longEv)
 	}
 	if longAllocs != shortAllocs {
-		t.Fatalf("schedule/pop path allocates: %d allocs over %d events vs %d over %d (%.4f allocs/event)",
-			longAllocs, longEv, shortAllocs, shortEv,
+		t.Fatalf("%s allocates: %d allocs over %d events vs %d over %d (%.4f allocs/event)",
+			what, longAllocs, longEv, shortAllocs, shortEv,
 			(float64(longAllocs)-float64(shortAllocs))/float64(longEv-shortEv))
 	}
 }
@@ -93,5 +104,31 @@ func TestWindowPoolDispatchZeroAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(2000, func() { pool.runWindow() })
 	if avg != 0 {
 		t.Fatalf("window dispatch allocates %.3f allocs/window, want 0", avg)
+	}
+}
+
+// TestWaitUntilZeroAllocsPerPoll: threads idling in WaitUntil poll without
+// allocating, whichever driver re-checks their predicates. Polls are the
+// bulk of an idle service's events, so two runs of the same setup whose
+// poll counts differ by tens of thousands must allocate equally often —
+// both on the serial engine and on the windowed executor. The slot budget
+// is pinned to one so the windowed run spawns no pool helpers, whose
+// goroutine creation allocates a varying few times per Run.
+func TestWaitUntilZeroAllocsPerPoll(t *testing.T) {
+	restore := slots.SetCapacity(1)
+	defer restore()
+	for _, m := range []engineMode{{"serial", nil}, {"windowed", []Option{WithShards(2)}}} {
+		t.Run(m.name, func(t *testing.T) {
+			requireNoPerEventAllocs(t, "WaitUntil polling", func() *Engine {
+				e := New(2, 1024, model.Uniform(10), 1, m.opts...)
+				for i := 0; i < 4; i++ {
+					e.Spawn(i%2, func(ctx api.Ctx) {
+						ready := func() bool { return ctx.Stopped() }
+						ctx.WaitUntil(time.Duration(10+i)*time.Nanosecond, ready)
+					})
+				}
+				return e
+			})
+		})
 	}
 }

@@ -62,6 +62,9 @@ func firstLine(s string) string {
 // the Run caller — however the panicking thread was resumed
 // (driver loop, inline dispatch by another thread, or a window pool
 // goroutine). The thread panic keeps its thread ID and the thread's stack.
+// The same holds for WaitUntil: a panicking predicate is its waiter's
+// panic wherever the engine evaluated it, a never-true predicate hits the
+// event budget, and a non-positive poll interval is rejected.
 func TestFailuresSurfaceOnDriver(t *testing.T) {
 	restore := slots.SetCapacity(4) // let the windowed mode run pool helpers
 	defer restore()
@@ -85,6 +88,38 @@ func TestFailuresSurfaceOnDriver(t *testing.T) {
 		t.Run(m.name+"/max-events", func(t *testing.T) {
 			e, _ := shardedWorkload(2, 2, append([]Option{WithMaxEvents(500)}, m.opts...)...)
 			mustPanicWith(t, "exceeded 500 events", func() { e.Run(1 << 40) })
+		})
+		t.Run(m.name+"/poll-panic", func(t *testing.T) {
+			e, _ := shardedWorkload(2, 2, m.opts...)
+			// Thread 4 idles in WaitUntil; its predicate panics once the
+			// clock passes 2µs, when the engine — inline in another
+			// thread's dispatch, the driver loop or a pool goroutine —
+			// evaluates it without resuming thread 4.
+			e.Spawn(1, func(ctx api.Ctx) {
+				ctx.WaitUntil(50*time.Nanosecond, func() bool {
+					if ctx.Now() > 2_000 {
+						panic("poll boom")
+					}
+					return false
+				})
+			})
+			msg := mustPanicWith(t, "poll boom", func() { e.Run(1 << 40) })
+			if want := "sim: thread 4 panicked: poll boom"; !strings.HasPrefix(msg, want) {
+				t.Fatalf("predicate panic surfaced as %q, want it attributed to the waiter: %q", firstLine(msg), want)
+			}
+		})
+		t.Run(m.name+"/poll-max-events", func(t *testing.T) {
+			e := New(2, 1024, model.CX3(), 1, append([]Option{WithMaxEvents(500)}, m.opts...)...)
+			e.Spawn(0, func(ctx api.Ctx) { ctx.Work(3 * time.Microsecond) })
+			e.Spawn(1, func(ctx api.Ctx) {
+				ctx.WaitUntil(10*time.Nanosecond, func() bool { return false })
+			})
+			mustPanicWith(t, "exceeded 500 events", func() { e.Run(1 << 40) })
+		})
+		t.Run(m.name+"/poll-nonpositive", func(t *testing.T) {
+			e := New(1, 1024, model.CX3(), 1, m.opts...)
+			e.Spawn(0, func(ctx api.Ctx) { ctx.WaitUntil(0, func() bool { return false }) })
+			mustPanicWith(t, "sim: thread 0 panicked: sim: WaitUntil(0s): the poll interval must be positive", func() { e.Run(1 << 40) })
 		})
 	}
 }

@@ -111,31 +111,26 @@ func (s *shard) nextSeq() uint64 {
 	return seq
 }
 
-// blockThread suspends t (a thread homed on this shard) until virtual time
-// `at` during a parallel window. Fast path: if `at` is inside the safe
-// window and no own-shard event could run first, advance the shard clock
-// and keep the thread running — no other shard can affect this one before
-// wend, by the lookahead contract. Otherwise schedule the wake-up and
-// yield to the goroutine running this shard's window; the wake pops in
-// this or a later window, possibly resumed from another pool goroutine.
-// One event is counted either way, matching the serial engine.
-func (s *shard) blockThread(t *Thread, at int64) {
-	if at < s.now {
-		at = s.now
+// advance is the windowed executor's block fast path (Thread.advance) for
+// a thread homed on this shard: if `at` is inside the safe window and no
+// own-shard event could run first, advance the shard clock and count the
+// block's event — no other shard can affect this one before wend, by the
+// lookahead contract. Otherwise the thread schedules its wake-up, which
+// pops in this or a later window, possibly on another pool goroutine.
+func (s *shard) advance(at int64) bool {
+	if at >= s.wend || (s.q.len() > 0 && s.q.min().at <= at) || s.events > s.e.maxEvents {
+		return false
 	}
-	if at < s.wend && (s.q.len() == 0 || s.q.min().at > at) && s.events <= s.e.maxEvents {
-		s.now = at
-		s.events++
-		return
-	}
-	s.e.scheduleEv(s, at, evWake, t)
-	t.yield(nil)
+	s.now = at
+	s.events++
+	return true
 }
 
 // runWindow executes this shard's events with at < s.wend in (at, seq)
 // order, on whichever pool goroutine claimed the shard: wake-ups and
 // completions resume their thread's coroutine until it blocks again or
-// exits; protocol events execute inline. A time regression, a blown event
+// exits, except that a WaitUntil poll is re-checked here first (repoll);
+// protocol events execute inline. A time regression, a blown event
 // budget or a thread panic traps (recorded in s.trap, re-panicked at the
 // barrier) — each indicates an engine bug, a livelocked workload or a
 // workload bug, and the engine is unusable afterwards.
@@ -161,6 +156,16 @@ func (s *shard) runWindow() {
 			hook(s, ev)
 		}
 		if ev.kind == evWake || ev.kind == evComplete {
+			if ev.th.poll != nil {
+				ready, err := ev.th.repoll()
+				if err != nil {
+					s.trap = err
+					return
+				}
+				if !ready {
+					continue
+				}
+			}
 			if _, s.trap = ev.th.resume(); s.trap != nil {
 				return
 			}

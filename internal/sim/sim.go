@@ -51,6 +51,11 @@
 // panic is recovered on its coroutine and re-panics on the goroutine
 // driving the engine.
 //
+// A thread idling in WaitUntil is not resumed to poll: the driver popping
+// its wake-up evaluates the predicate itself and re-blocks the thread as
+// its poll loop would (Thread.repoll), resuming it only once the predicate
+// holds. The schedule is the loop's; an idle poll costs no switch.
+//
 // Hot path: events live in a typed 4-ary min-heap (eventq.go) — no
 // interface boxing, zero allocations per event in steady state.
 //
@@ -592,6 +597,15 @@ func (e *Engine) dispatch() (*Thread, error) {
 			e.curShard.Store(int32(ev.dest()))
 		}
 		if ev.kind == evWake || ev.kind == evComplete {
+			if ev.th.poll != nil {
+				ready, err := ev.th.repoll()
+				if err != nil {
+					return nil, err
+				}
+				if !ready {
+					continue
+				}
+			}
 			return ev.th, nil
 		}
 		e.execProtocol(e.shards[ev.dest()], ev)
@@ -639,6 +653,23 @@ type Thread struct {
 	fn     func(api.Ctx)
 	exited bool
 	verb   verbState
+	// poll and pollNS are the predicate and quantum of the WaitUntil the
+	// thread is idling in; poll is nil outside one.
+	poll   func() bool
+	pollNS int64
+	// panicVal and panicStack record the thread's panic — in its body or in
+	// its poll predicate — for threadPanic to report.
+	panicVal   any
+	panicStack []byte
+}
+
+// threadPanic is a simulated thread's recovered panic, surfaced as a
+// failure on the goroutine driving the engine. A single pointer, so making
+// it an error does not allocate on the dispatch path.
+type threadPanic struct{ t *Thread }
+
+func (p threadPanic) Error() string {
+	return fmt.Sprintf("sim: thread %d panicked: %v\n%s", p.t.id, p.t.panicVal, p.t.panicStack)
 }
 
 var _ api.Ctx = (*Thread)(nil)
@@ -668,8 +699,15 @@ func (t *Thread) body(yield func(*Thread) bool) {
 // recoverTrap is body's deferred panic-to-trap conversion.
 func (t *Thread) recoverTrap() {
 	if r := recover(); r != nil {
-		t.trap = fmt.Errorf("sim: thread %d panicked: %v\n%s", t.id, r, debug.Stack())
+		t.trap = t.panicked(r)
 	}
+}
+
+// panicked records r, a panic recovered from t's code, with the panicking
+// stack, and returns it as t's failure.
+func (t *Thread) panicked(r any) error {
+	t.panicVal, t.panicStack = r, debug.Stack()
+	return threadPanic{t}
 }
 
 // suspend gives up control until t's next wake-up or verb completion
@@ -703,33 +741,74 @@ func (t *Thread) now() int64 {
 
 // block suspends the thread until virtual time `at`.
 //
-// Fast path: if no event that could observably run before `at` is
-// scheduled — on the global queue on the serial engine; on the thread's own
-// shard, within the safe window, in windowed mode (no other shard can
-// affect this one inside the window by the lookahead contract) — the
-// running thread advances the clock itself and keeps going without
-// suspending. Otherwise it schedules its wake-up and suspends. Exactly one
-// event is counted per block either way, so the events counter is
-// mode-independent.
+// Fast path (advance): if no event that could observably run before `at`
+// is scheduled, the running thread advances the clock itself and keeps
+// going without suspending. Otherwise it schedules its wake-up and
+// suspends. Exactly one event is counted per block either way, so the
+// events counter is mode-independent.
 func (t *Thread) block(at int64) {
+	if now := t.now(); at < now {
+		at = now
+	}
+	if t.advance(at) {
+		return
+	}
+	t.e.scheduleEv(t.shard, at, evWake, t)
+	t.suspend()
+}
+
+// advance is block's fast path: it moves the thread's clock to `at` and
+// counts the block's event if no queued event could run first and the
+// event budget is not spent — on the global queue on the serial engine,
+// on the thread's own shard within the safe window under the windowed
+// executor (shard.advance). Otherwise the caller schedules a wake-up.
+func (t *Thread) advance(at int64) bool {
 	e := t.e
 	if e.windowed {
-		t.shard.blockThread(t, at)
-		return
+		return t.shard.advance(at)
 	}
-	if at < e.now {
-		at = e.now
+	if min, ok := e.minAt(); (ok && min <= at) || e.events > e.maxEvents {
+		return false
 	}
-	if min, ok := e.minAt(); (!ok || min > at) && e.events <= e.maxEvents {
-		e.now = at
-		if e.now >= e.stopAt {
-			e.stopped = true
+	e.now = at
+	if e.now >= e.stopAt {
+		e.stopped = true
+	}
+	e.events++
+	return true
+}
+
+// repoll runs t's WaitUntil loop on the driver that popped t's poll
+// wake-up, without resuming t: while the predicate is false it blocks t
+// for another poll exactly as block would — same fast path, same event
+// count, same sequence number — so the schedule is the loop's. It reports
+// whether t must be resumed (the predicate holds) or t's failure, if the
+// predicate panicked.
+func (t *Thread) repoll() (bool, error) {
+	for {
+		if ready, err := t.checkPoll(); ready || err != nil {
+			return ready, err
 		}
-		e.events++
-		return
+		at := t.now() + t.pollNS
+		if !t.advance(at) {
+			t.e.scheduleEv(t.shard, at, evWake, t)
+			return false, nil
+		}
 	}
-	e.scheduleEv(t.shard, at, evWake, t)
-	t.suspend()
+}
+
+// checkPoll evaluates t's predicate on the dispatching goroutine, turning
+// a panic in it into t's failure rather than the dispatcher's.
+func (t *Thread) checkPoll() (ready bool, err error) {
+	defer t.recoverPoll(&err)
+	return t.poll(), nil
+}
+
+// recoverPoll is checkPoll's deferred panic-to-failure conversion.
+func (t *Thread) recoverPoll(err *error) {
+	if r := recover(); r != nil {
+		*err = t.panicked(r)
+	}
 }
 
 // NodeID implements api.Ctx.
@@ -827,6 +906,19 @@ func (t *Thread) Work(d time.Duration) {
 		return
 	}
 	t.block(t.now() + d.Nanoseconds())
+}
+
+// WaitUntil implements api.Ctx as its defining loop; while the thread is
+// suspended in it, the drivers run the loop for it (repoll).
+func (t *Thread) WaitUntil(d time.Duration, ready func() bool) {
+	if d <= 0 {
+		panic(fmt.Sprintf("sim: WaitUntil(%v): the poll interval must be positive (a Work(0) poll loop never advances time)", d))
+	}
+	t.poll, t.pollNS = ready, d.Nanoseconds()
+	for !ready() {
+		t.block(t.now() + t.pollNS)
+	}
+	t.poll = nil
 }
 
 // --- Remote (RDMA one-sided) operations ---
